@@ -1,0 +1,7 @@
+"""Make the program (``src/``) and the benchmark modules importable."""
+
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
