@@ -43,6 +43,37 @@ SCHEMA_EXECUTION = {
 }
 
 
+def envelope():
+    """Host and source of a measurement: CPU count, Python, numpy and
+    scipy versions, machine, and the git commit (``dirty`` when the
+    working tree differs from it; ``None`` outside a checkout)."""
+    import platform
+    import subprocess
+
+    import numpy
+    import scipy
+
+    def git(*args):
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=pathlib.Path(__file__).parent,
+                capture_output=True, text=True, check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "commit": commit,
+        "dirty": bool(status) if commit is not None else None,
+    }
+
+
 def write_result(name, text):
     """Persist one figure's table under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -32,7 +32,7 @@ import pathlib
 import random
 import time
 
-from bench_common import write_result
+from bench_common import envelope, write_result
 from repro import Advisor, telemetry
 from repro.explain import explain_document
 from repro.randgen import random_model
@@ -104,7 +104,9 @@ def _measure(model, size):
         started = time.perf_counter()
         recommendation = advisor.recommend_prepared(prepared)
         recommend_seconds = time.perf_counter() - started
-    counters = sink.report().metrics["counters"]
+    metrics = sink.report().metrics
+    counters = metrics["counters"]
+    gauges = metrics["gauges"]
     return {
         "statements": len(list(workload.statements)),
         "prepare_seconds": prepare_seconds,
@@ -114,6 +116,11 @@ def _measure(model, size):
         "candidates": len(prepared.candidates),
         "query_plan_count": prepared.plan_count,
         "recommended_column_families": len(recommendation.indexes),
+        "schema_cost": recommendation.total_cost,
+        "statement_classes": recommendation.timing.statement_classes,
+        "phase2_outcome": recommendation.timing.phase2_outcome,
+        "bip_columns": gauges.get("bip.columns"),
+        "bip_rows": gauges.get("bip.rows"),
         "prune_vector_spaces": counters.get("prune.vector_spaces", 0),
         "prune_scalar_spaces": counters.get("prune.scalar_spaces", 0),
         "parallel_fallback_serial": counters.get(
@@ -148,19 +155,21 @@ def test_scaling_near_linear():
         "prepare_per_statement_growth": growth,
         "superlinearity_bound": SUPERLINEARITY_BOUND,
         "engines_byte_identical": identical,
-        "cpu_count": os.cpu_count(),
+        "host": envelope(),
     }
     (REPO_ROOT / "BENCH_scaling.json").write_text(
         json.dumps(payload, indent=2) + "\n")
 
     lines = [f"{'stmts':>6} {'prepare':>9} {'ms/stmt':>8} "
-             f"{'recommend':>10} {'pool':>6}"]
+             f"{'recommend':>10} {'pool':>6} {'classes':>8} "
+             f"{'columns':>8}"]
     for row in rows:
         lines.append(
             f"{row['statements']:>6} {row['prepare_seconds']:>8.2f}s "
             f"{1000 * row['prepare_seconds_per_statement']:>7.2f} "
             f"{row['recommend_seconds']:>9.2f}s "
-            f"{row['candidates']:>6}")
+            f"{row['candidates']:>6} {row['statement_classes']:>8} "
+            f"{row['bip_columns']:>8}")
     summary = ("\n".join(lines)
                + f"\n\nper-statement prepare growth "
                f"({smallest['statements']} -> "

@@ -160,6 +160,14 @@ class AdvisorTiming:
     reused_statements: int = 0
     #: statements actually re-enumerated/re-planned during prepare
     replanned_statements: int = 0
+    #: statement signature classes the program solved (statements
+    #: sharing one plan space are solved once, with summed weight);
+    #: 0 when the optimizer does not report them
+    statement_classes: int = 0
+    #: how the schema-minimising second solve ended: "finished",
+    #: "time-limit" (phase-1 solution kept), "failed" or "skipped";
+    #: None when the optimizer does not report it
+    phase2_outcome: str | None = None
 
     @property
     def other(self):
@@ -283,6 +291,26 @@ class PreparedWorkload:
                 f"queries={len(self.query_plans)}, "
                 f"updates={len(self.update_plans)}, "
                 f"reused={self.reuse_count})")
+
+
+def _own_record(record, label):
+    """A signature class's shared pruning record, under one member's
+    label."""
+    if record["statement"] == label:
+        return record
+    return dict(record, statement=label)
+
+
+def _own_records(records, update_plan, update):
+    """Support-query pruning records of a shared maintenance plan,
+    keyed by ``update``'s own support-query labels."""
+    own = {}
+    for support, mine in update_plan.support_queries_of(update).items():
+        record = records.get(support.label or str(support))
+        if record is not None:
+            label = mine.label or str(mine)
+            own[label] = _own_record(record, label)
+    return own
 
 
 def _statement_key(statement):
@@ -505,34 +533,36 @@ class Advisor:
         the artifact key captures exactly that (see
         :meth:`~repro.planner.QueryPlanner.relevant_pool_key`), so a
         cached space is served even when unrelated parts of the pool
-        changed.  Misses are planned on a forked process pool (the
-        plan-space DFS is CPU-bound pure Python, which threads cannot
-        speed up) — the workers only plan, the parent owns the artifact
-        store, and store order follows the workload.
+        changed.  Labels are not part of the key: the queries of one
+        signature class share one artifact, planned once for the first
+        of them (whose plans name it as their query; see
+        :meth:`~repro.planner.plans.QueryPlan.bind`).  Misses are
+        planned on a forked process pool (the plan-space DFS is
+        CPU-bound pure Python, which threads cannot speed up) — the
+        workers only plan, the parent owns the artifact store, and
+        store order follows the workload.
         """
         store = self.artifacts
-        spaces = {}
-        missing = []
+        missing = {}  # key -> the queries of one signature class
         reused = 0
         for query in queries:
-            key = ("plan", statement_signature(query), query.label,
-                   planner.max_plans, planner.relevant_pool_key(query))
+            key = ("plan", statement_signature(query), planner.max_plans,
+                   planner.relevant_pool_key(query))
             artifact = store.get(key)
             if artifact is None:
-                missing.append((query, key))
-                spaces[query] = None  # placeholder keeps workload order
+                missing.setdefault(key, []).append(query)
             else:
                 artifacts[query] = artifact
-                spaces[query] = artifact.space
                 reused += 1
         planned = parallel_map(
-            lambda item: planner.plans_for(item[0]), missing, jobs=jobs,
-            backend="process")
-        for (query, key), space in zip(missing, planned):
+            lambda members: planner.plans_for(members[0]),
+            list(missing.values()), jobs=jobs, backend="process")
+        for (key, members), space in zip(missing.items(), planned):
             artifact = PlanArtifact(space)
             store.put(key, artifact)
-            artifacts[query] = artifact
-            spaces[query] = space
+            for query in members:
+                artifacts[query] = artifact
+        spaces = {query: artifacts[query].space for query in queries}
         return spaces, reused
 
     def _plan_updates(self, updates, planner, update_planner,
@@ -542,8 +572,9 @@ class Advisor:
         One artifact per (update, modified column family) pair, keyed
         by the update's signature, the column family, the support-plan
         cap and a fingerprint of the pool subset each support query can
-        touch.  An update counts as reused only when every one of its
-        pairs was served from the store.
+        touch; the updates of one signature class share it.  An update
+        counts as reused only when every one of its pairs was served
+        from the store.
 
         The parent walks the pool, resolves keys and serves store hits;
         only the misses — the actual support-query planning — fan out,
@@ -557,6 +588,7 @@ class Advisor:
         slots = []     # (update, [artifact | position into missing])
         stale = set()  # updates with at least one store miss
         missing = []   # (update, index, supports, key) work items
+        positions = {}  # key -> position into missing
         for update in updates:
             signature = statement_signature(update)
             pairs = []
@@ -567,14 +599,15 @@ class Advisor:
                                                               index)
                 fingerprint = tuple(planner.relevant_pool_key(support)
                                     for support in supports)
-                key = ("update-plan", signature, update.label,
-                       index.key, update_planner.max_support_plans,
-                       fingerprint)
+                key = ("update-plan", signature, index.key,
+                       update_planner.max_support_plans, fingerprint)
                 artifact = store.get(key)
                 if artifact is None:
                     stale.add(update)
-                    pairs.append(len(missing))
-                    missing.append((update, index, supports, key))
+                    if key not in positions:
+                        positions[key] = len(missing)
+                        missing.append((update, index, supports, key))
+                    pairs.append(positions[key])
                 else:
                     pairs.append(artifact)
             slots.append((update, pairs))
@@ -728,23 +761,27 @@ class Advisor:
                 for update_plan in plans:
                     self.cost_model.cost_update_plan(update_plan)
 
-            query_spaces = []
+            # a signature class shares its spaces: cost each once
+            query_spaces = {}
             for query, space in prepared.query_plans.items():
                 artifact = prepared.plan_artifacts.get(query)
                 if artifact is not None \
                         and artifact.costed_by == model_id:
                     continue
-                query_spaces.append(space)
+                query_spaces.setdefault(id(space), space)
+            query_spaces = list(query_spaces.values())
             update_spaces = []
+            queued = set()
             for update, plans in prepared.update_plans.items():
                 pairs = prepared.update_artifacts.get(update)
                 if pairs:
-                    pending = [artifact.plan for artifact in pairs
-                               if artifact.costed_by != model_id]
-                    if pending:
-                        update_spaces.append(pending)
-                else:
-                    update_spaces.append(plans)
+                    plans = [artifact.plan for artifact in pairs
+                             if artifact.costed_by != model_id]
+                pending = [plan for plan in plans
+                           if id(plan) not in queued]
+                queued.update(map(id, pending))
+                if pending:
+                    update_spaces.append(pending)
             parallel_map(cost_space, query_spaces, jobs=jobs)
             parallel_map(cost_update_space, update_spaces, jobs=jobs)
             for artifact in prepared.plan_artifacts.values():
@@ -801,36 +838,33 @@ class Advisor:
                 return kept, prune_record(query, len(plans), len(kept),
                                           removals)
 
-            # hit/miss is decided once up front: statements can share
-            # an artifact object (structurally identical statements hit
-            # the same store key), and a live re-check after the first
-            # write-back would desynchronize the result iterator
-            query_items = [
-                (query, plans, prepared.plan_artifacts.get(query))
-                for query, plans in prepared.query_plans.items()]
-            query_items = [
-                (query, plans, artifact,
-                 self._pruned_hit(artifact, query_key))
-                for query, plans, artifact in query_items]
-            pending = [(query, plans)
-                       for query, plans, artifact, hit in query_items
-                       if not hit]
-            pruned = iter(parallel_map(prune_query, pending, jobs=jobs))
+            # hit/miss is decided once up front; the statements of one
+            # signature class share their artifact, so each distinct
+            # space is pruned once and its record relabelled per member
+            query_items = []
+            pending = {}
+            for query, plans in prepared.query_plans.items():
+                artifact = prepared.plan_artifacts.get(query)
+                hit = self._pruned_hit(artifact, query_key)
+                query_items.append((query, plans, artifact, hit))
+                if not hit:
+                    pending.setdefault(id(plans), (query, plans))
+            pruned = dict(zip(pending, parallel_map(
+                prune_query, list(pending.values()), jobs=jobs)))
             pruned_query_plans = {}
             for query, plans, artifact, hit in query_items:
-                label = query.label or str(query)
                 if hit:
-                    pruned_query_plans[query] = artifact.pruned
-                    ledger[label] = artifact.record
+                    kept, record = artifact.pruned, artifact.record
                     reused_prunes += 1
-                    continue
-                kept, record = next(pruned)
+                else:
+                    kept, record = pruned[id(plans)]
+                    if artifact is not None:
+                        artifact.pruned = kept
+                        artifact.record = record
+                        artifact.pruned_key = query_key
                 pruned_query_plans[query] = kept
-                ledger[label] = record
-                if artifact is not None:
-                    artifact.pruned = kept
-                    artifact.record = record
-                    artifact.pruned_key = query_key
+                label = query.label or str(query)
+                ledger[label] = _own_record(record, label)
             prepared._pruned_query_plans = pruned_query_plans
             support_key = (id(self.cost_model), self.support_prune_to)
 
@@ -841,36 +875,38 @@ class Advisor:
                 return pruned_plan, records
 
             update_items = []
+            pending = {}
             for update, plans in prepared.update_plans.items():
                 pairs = prepared.update_artifacts.get(update)
                 rows = []
                 for position, update_plan in enumerate(plans):
                     artifact = pairs[position] if pairs else None
-                    rows.append((update_plan, artifact,
-                                 self._pruned_hit(artifact,
-                                                  support_key)))
+                    hit = self._pruned_hit(artifact, support_key)
+                    rows.append((update_plan, artifact, hit))
+                    if not hit:
+                        pending.setdefault(id(update_plan), update_plan)
                 update_items.append((update, rows))
-            pending = [update_plan
-                       for update, rows in update_items
-                       for update_plan, artifact, hit in rows
-                       if not hit]
-            pruned = iter(parallel_map(prune_update, pending, jobs=jobs))
+            pruned = dict(zip(pending, parallel_map(
+                prune_update, list(pending.values()), jobs=jobs)))
             pruned_updates = {}
             for update, rows in update_items:
                 pruned_plans = []
                 for update_plan, artifact, hit in rows:
                     if hit:
-                        pruned_plans.append(artifact.pruned)
-                        ledger.update(artifact.records)
+                        pruned_plan = artifact.pruned
+                        records = artifact.records
                         reused_prunes += 1
-                        continue
-                    pruned_plan, records = next(pruned)
+                    else:
+                        pruned_plan, records = pruned[id(update_plan)]
+                        if artifact is not None:
+                            artifact.pruned = pruned_plan
+                            artifact.records = dict(records)
+                            artifact.pruned_key = support_key
                     pruned_plans.append(pruned_plan)
+                    if update is not pruned_plan.update:
+                        records = _own_records(records, pruned_plan,
+                                               update)
                     ledger.update(records)
-                    if artifact is not None:
-                        artifact.pruned = pruned_plan
-                        artifact.records = dict(records)
-                        artifact.pruned_key = support_key
                 pruned_updates[update] = pruned_plans
             prepared._pruned_update_plans = self._reachable_update_plans(
                 prepared._pruned_query_plans, pruned_updates)
@@ -966,6 +1002,8 @@ class Advisor:
         extract = getattr(program, "extract_seconds", 0.0)
         timing.bip_solving = max(solving - extract, 0.0)
         timing.recommendation = extract
+        timing.statement_classes = getattr(program, "statement_classes", 0)
+        timing.phase2_outcome = getattr(program, "phase2_outcome", None)
         return recommendation
 
     def _prune_update_plan(self, update_plan, ledger=None):

@@ -901,6 +901,8 @@ def main(argv=None):
         print(f"  delta: {timing.reused_statements} statement(s) "
               f"served from the artifact store, "
               f"{timing.replanned_statements} re-planned")
+        print(f"  solved: {timing.statement_classes} statement "
+              f"class(es), phase 2 {timing.phase2_outcome}")
     if tuning_rows:
         from repro.reporting import timing_table
         print()

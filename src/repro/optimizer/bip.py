@@ -26,8 +26,13 @@ from scipy.sparse import csr_matrix
 from repro import telemetry
 from repro.exceptions import OptimizationError
 from repro.explain import solver_ledger
+from repro.optimizer.problem import cheapest_plan, used_keys
 from repro.optimizer.results import SchemaRecommendation
 from repro.planner.plans import UpdatePlan
+
+
+#: phase-2 outcome per HiGHS status; any other status is "failed"
+_PHASE2_OUTCOMES = {0: "finished", 1: "time-limit"}
 
 
 def _same_plan_structure(previous, problem):
@@ -72,10 +77,20 @@ class _Program:
                              for column, index in enumerate(self.indexes)}
         self.columns = len(self.indexes)
         self.costs = [0.0] * self.columns
-        #: (query, plan, column) for workload query plans
+        #: (query, plan, column) for workload query plans; the members
+        #: of a signature class share their representative's columns
         self.plan_columns = []
-        #: (update_plan, support query, plan, column)
+        #: (update, update_plan, support query, plan, column), shared
+        #: the same way
         self.support_columns = []
+        #: plan columns of each choose-one row, one list per query class
+        self.query_groups = []
+        #: statement signature classes the program solves: query plus
+        #: update classes (statements sharing their plan objects)
+        self.statement_classes = 0
+        #: how the last optimize() ended its schema-minimising phase:
+        #: "finished", "time-limit", "failed" or "skipped"
+        self.phase2_outcome = None
         self._entries = []  # (row, column, value)
         self._lower = []
         self._upper = []
@@ -104,6 +119,7 @@ class _Program:
             active.gauge("bip.binary_columns", len(self.indexes))
             active.gauge("bip.rows", len(self._lower))
             active.gauge("bip.nonzeros", len(self._entries))
+            active.gauge("bip.statement_classes", self.statement_classes)
             if adopted:
                 active.count("bip.programs_adopted")
 
@@ -140,6 +156,8 @@ class _Program:
         self.columns = previous.columns
         self.plan_columns = list(previous.plan_columns)
         self.support_columns = list(previous.support_columns)
+        self.query_groups = previous.query_groups
+        self.statement_classes = previous.statement_classes
         self._entries = previous._entries[:previous._structure_entries]
         self._lower = previous._lower[:previous._structure_rows]
         self._upper = previous._upper[:previous._structure_rows]
@@ -167,36 +185,76 @@ class _Program:
                 (space, self.index_column[index.key], index.size))
 
     def _build(self):
+        """One block of rows per signature class.
+
+        Statements whose plan lists hold the same plan objects have the
+        same plan space and costs, and the program is linear in their
+        weights: one choose-one row (or one set of support gates) with
+        the summed weights has the same optimum as one per statement.
+        The first statement of a class builds the rows and columns; each
+        member adds its weighted costs to them and lists its own
+        ``(statement, plan, column)`` entries.
+        """
         problem = self.problem
+        query_classes = {}
         for query, plans in problem.query_plans.items():
             weight = problem.weight(query)
-            choose_one = self._new_row(1.0, 1.0)
-            links = {}
-            for plan in plans:
-                column = self._new_column(weight * plan.cost)
+            key = tuple(map(id, plans))
+            columns = query_classes.get(key)
+            if columns is None:
+                choose_one = self._new_row(1.0, 1.0)
+                links = {}
+                columns = []
+                for plan in plans:
+                    column = self._new_column(0.0)
+                    columns.append(column)
+                    self._entries.append((choose_one, column, 1.0))
+                    self._link_plan(column, plan, links)
+                query_classes[key] = columns
+                self.query_groups.append(columns)
+            for plan, column in zip(plans, columns):
+                self.costs[column] += weight * plan.cost
                 self.plan_columns.append((query, plan, column))
-                self._entries.append((choose_one, column, 1.0))
-                self._link_plan(column, plan, links)
+        update_classes = {}
         for update, update_plans in problem.update_plans.items():
+            if not update_plans:
+                continue
             weight = problem.weight(update)
+            key = tuple(map(id, update_plans))
+            supports = update_classes.get(key)
+            if supports is None:
+                supports = update_classes[key] = self._build_gates(
+                    update_plans)
             for update_plan in update_plans:
                 index_column = self.index_column[update_plan.index.key]
                 self.costs[index_column] += weight * update_plan.update_cost
-                grouped = update_plan.support_plans_by_query
-                for support, plans in grouped.items():
-                    # one support plan iff the column family is selected
-                    gate = self._new_row(0.0, 0.0)
-                    self._entries.append((gate, index_column, -1.0))
-                    links = {}
-                    for plan in plans:
-                        column = self._new_column(weight * plan.cost)
-                        self.support_columns.append(
-                            (update_plan, support, plan, column))
-                        self._entries.append((gate, column, 1.0))
-                        self._link_plan(column, plan, links)
+            for update_plan, support, plan, column in supports:
+                self.costs[column] += weight * plan.cost
+                self.support_columns.append(
+                    (update, update_plan, support, plan, column))
+        self.statement_classes = len(query_classes) + len(update_classes)
         self._structure_rows = len(self._lower)
         self._structure_entries = len(self._entries)
         self._append_space_row()
+
+    def _build_gates(self, update_plans):
+        """Support gates and plan columns of one update class; returns
+        its ``(update_plan, support, plan, column)`` listing."""
+        supports = []
+        for update_plan in update_plans:
+            index_column = self.index_column[update_plan.index.key]
+            grouped = update_plan.support_plans_by_query
+            for support, plans in grouped.items():
+                # one support plan iff the column family is selected
+                gate = self._new_row(0.0, 0.0)
+                self._entries.append((gate, index_column, -1.0))
+                links = {}
+                for plan in plans:
+                    column = self._new_column(0.0)
+                    supports.append((update_plan, support, plan, column))
+                    self._entries.append((gate, column, 1.0))
+                    self._link_plan(column, plan, links)
+        return supports
 
     def _link_plan(self, column, plan, links):
         """Plan usable only when every column family it touches exists.
@@ -243,11 +301,6 @@ class _Program:
                 [(column, plan.cost, position(query))
                  for query, plan, column in self.plan_columns],
                 dtype=float).reshape(-1, 3)
-            support_data = np.array(
-                [(column, plan.cost, position(update_plan.update))
-                 for update_plan, _support, plan, column
-                 in self.support_columns],
-                dtype=float).reshape(-1, 3)
             maintenance_data = np.array(
                 [(self.index_column[update_plan.index.key],
                   update_plan.update_cost, position(update))
@@ -255,12 +308,16 @@ class _Program:
                  in self.problem.update_plans.items()
                  for update_plan in update_plans],
                 dtype=float).reshape(-1, 3)
+            support_data = np.array(
+                [(column, plan.cost, position(update))
+                 for update, _update_plan, _support, plan, column
+                 in self.support_columns],
+                dtype=float).reshape(-1, 3)
             self._reweight_arrays = (statements, [
                 (data[:, 0].astype(np.intp), data[:, 1],
-                 data[:, 2].astype(np.intp), accumulate)
-                for data, accumulate in ((plan_data, False),
-                                         (support_data, False),
-                                         (maintenance_data, True))])
+                 data[:, 2].astype(np.intp))
+                for data in (plan_data, maintenance_data,
+                             support_data)])
         return self._reweight_arrays
 
     def reweight(self, weights):
@@ -277,14 +334,11 @@ class _Program:
         by_statement = np.array([problem.weight(statement)
                                  for statement in statements])
         costs = np.zeros(self.columns)
-        for columns, base_costs, stmt_positions, accumulate in groups:
-            if not len(columns):
-                continue
-            terms = by_statement[stmt_positions] * base_costs
-            if accumulate:
-                np.add.at(costs, columns, terms)
-            else:
-                costs[columns] = terms
+        for columns, base_costs, stmt_positions in groups:
+            if len(columns):
+                # members of a class share columns: Σ weight * cost
+                np.add.at(costs, columns,
+                          by_statement[stmt_positions] * base_costs)
         self.costs = costs.tolist()
 
     # -- solving --------------------------------------------------------------
@@ -318,7 +372,7 @@ class _Program:
                                 np.asarray(upper))
 
     def _solve(self, objective, constraints, options=None, bounds=None,
-               integrality=None):
+               integrality=None, check=True):
         # Only the column-family selection variables need integrality:
         # for any 0/1 selection, every plan whose column families are
         # all selected is feasible on its own (the aggregated links
@@ -327,7 +381,8 @@ class _Program:
         # can never beat the cheapest feasible plan.  Declaring the
         # plan variables continuous cuts the binaries from thousands to
         # the number of candidates.  ``integrality`` overrides (the LP
-        # gate passes all-zeros for the relaxation).
+        # gate passes all-zeros for the relaxation).  ``check`` raises
+        # unless the result carries a solution.
         if integrality is None:
             if self._integrality is None:
                 self._integrality = np.zeros(self.columns)
@@ -346,7 +401,7 @@ class _Program:
         )
         acceptable = result.success or (result.status == 1
                                         and result.x is not None)
-        if not acceptable:
+        if check and not acceptable:
             raise OptimizationError(
                 f"BIP solve failed: {result.message}")
         return result
@@ -355,7 +410,7 @@ class _Program:
         """Variable fixing for the schema-minimisation solve.
 
         Any solution within the phase-2 cost cap pays at least the
-        cheapest plan of every query group (their sum ``lower_bound``),
+        cheapest plan of every query class (their sum ``lower_bound``),
         plus — for each active support gate and in full for a pure plan
         choice — the cost of whichever plan column carries weight.  A
         plan column whose cost exceeds its group minimum by more than
@@ -375,15 +430,12 @@ class _Program:
         # below are computed ignoring which column families exist
         margins = np.full(self.columns, -np.inf)
         lower_bound = 0.0
-        by_query = {}
-        for query, _plan, column in self.plan_columns:
-            by_query.setdefault(id(query), []).append(column)
-        for group in by_query.values():
+        for group in self.query_groups:
             group_costs = costs[group]
             group_min = float(group_costs.min())
             lower_bound += group_min
             margins[group] = group_costs - group_min
-        for _update_plan, _support, _plan, column in self.support_columns:
+        for *_, column in self.support_columns:
             # support plans cost nothing when their gate is closed, so
             # their margin is the full column cost
             margins[column] = costs[column]
@@ -497,7 +549,9 @@ class _Program:
 
         ``mip_rel_gap`` and ``time_limit`` bound the branch-and-bound
         effort; with a time limit the incumbent solution is returned
-        (still feasible, within the reported gap of optimal).
+        (still feasible, within the reported gap of optimal).  The
+        second solve's solution is used only when that solve finishes;
+        otherwise the first's is kept (``phase2_outcome`` says which).
         ``warm_start`` optionally supplies a previous solution whose
         cost bounds the first solve from above (see :meth:`_warm_bound`
         for the exact semantics — the optimum is never changed, though
@@ -580,16 +634,26 @@ class _Program:
                 }
                 bounds = self._phase2_bounds(best_cost, tolerance)
                 phase2_started = time.perf_counter()
-                try:
-                    result = self._solve(objective, [constraint],
-                                         phase2_options, bounds=bounds)
-                except OptimizationError:
-                    pass
+                # only a finished phase 2 replaces the phase-1 solution:
+                # the incumbent a time limit leaves depends on how far
+                # the search got, so keeping it would make the schema
+                # depend on machine speed
+                smallest = self._solve(objective, [constraint],
+                                       phase2_options, bounds=bounds,
+                                       check=False)
+                if smallest.status == 0:
+                    result = smallest
+                self.phase2_outcome = _PHASE2_OUTCOMES.get(
+                    smallest.status, "failed")
                 if active.enabled:
                     active.gauge("bip.phase2_time_limit",
                                  phase2_options["time_limit"])
                     active.gauge("bip.phase2_seconds",
                                  time.perf_counter() - phase2_started)
+            else:
+                self.phase2_outcome = "skipped"
+            if active.enabled:
+                active.gauge("bip.phase2_outcome", self.phase2_outcome)
             extract_started = time.perf_counter()
             self.solve_seconds = extract_started - solve_started
         with active.span("recommendation"):
@@ -602,109 +666,71 @@ class _Program:
                            buckets=telemetry.TIME_BUCKETS)
         return recommendation
 
-    @staticmethod
-    def _beats(weight, plan, best):
-        """Plan ranking for extraction: highest solver weight wins, then
-        cheaper cost, then the lexicographically smallest signature — so
-        equal-cost recommendations are byte-for-byte reproducible across
-        runs and hash seeds instead of following iteration order."""
-        if best is None:
-            return True
-        best_weight, best_cost, best_plan = best
-        rank = (weight, -plan.cost)
-        if rank != (best_weight, -best_cost):
-            return rank > (best_weight, -best_cost)
-        return plan.signature < best_plan.signature
-
     def _extract(self, result, total_cost):
-        selected = result.x > 0.5
-        # plan variables are continuous and may split across
-        # equal-cost alternatives; pick the highest-weight plan per
-        # statement (ties broken toward cheaper plans, then by plan
-        # signature for determinism)
-        query_plans = {}
-        query_best = {}
-        for query, plan, column in self.plan_columns:
-            weight = result.x[column]
-            if weight < 1e-6:
-                continue
-            if self._beats(weight, plan, query_best.get(query)):
-                query_best[query] = (weight, plan.cost, plan)
-                query_plans[query] = plan
-        chosen_support = {}
-        support_best = {}
-        for update_plan, support, plan, column in self.support_columns:
-            weight = result.x[column]
-            if weight < 1e-6:
-                continue
-            key = (id(update_plan), id(support))
-            if self._beats(weight, plan, support_best.get(key)):
-                support_best[key] = (weight, plan.cost, plan)
-        for (plan_id, _support_id), (_w, _c, plan) in support_best.items():
-            chosen_support.setdefault(plan_id, []).append(plan)
-        chosen_keys = self._used_keys(selected, query_plans,
-                                      chosen_support)
+        """The recommendation of a solution: its schema and, per
+        statement and per support query, the cheapest plan on it.
+
+        Plan variables are continuous and may split across
+        alternatives, and a class's columns carry its summed weight, so
+        the solver's plan weights name no plan per statement.  Every
+        plan the solution uses is feasible on the selected column
+        families, so the cheapest feasible one (ties broken by
+        signature) costs no more than the solver's choice.  Chosen
+        plans leave bound to their own statement (see
+        :meth:`~repro.planner.plans.QueryPlan.bind`).
+        """
+        selected = result.x[:len(self.indexes)] > 0.5
+        selected_keys = {self.indexes[column].key
+                         for column in range(len(self.indexes))
+                         if selected[column]}
+        cheapest = {}
+
+        def choose(plans):
+            plan = cheapest.get(id(plans))
+            if plan is None:
+                plan = cheapest[id(plans)] = cheapest_plan(plans,
+                                                           selected_keys)
+                if plan is None:
+                    raise OptimizationError(
+                        "BIP solution leaves a statement without a "
+                        "feasible plan")
+            return plan
+
+        query_plans = {query: choose(plans)
+                       for query, plans in self.problem.query_plans.items()}
+        maintained = {}
+        for update, plans in self.problem.update_plans.items():
+            maintained[update] = [
+                UpdatePlan(update_plan.update, update_plan.index,
+                           [choose(support) for support in
+                            update_plan.support_plans_by_query.values()],
+                           update_plan.steps)
+                for update_plan in plans
+                if update_plan.index.key in selected_keys]
+        # selected column families no chosen plan reads are dropped:
+        # without phase 2 the solver may hold cost-free ones, and no
+        # constraint binds a column family nothing uses
+        chosen_keys = used_keys(query_plans, maintained) & selected_keys
         indexes = [index for index in self.indexes
                    if index.key in chosen_keys]
         update_plans = {}
-        for update, plans in self.problem.update_plans.items():
-            kept = []
-            for update_plan in plans:
-                if update_plan.index.key not in chosen_keys:
-                    continue
-                support = chosen_support.get(id(update_plan), [])
-                kept.append(UpdatePlan(update, update_plan.index, support,
-                                       update_plan.steps))
+        for update, plans in maintained.items():
+            kept = [update_plan.bind(update) for update_plan in plans
+                    if update_plan.index.key in chosen_keys]
             if kept:
                 update_plans[update] = kept
         weights = {label: weight
                    for label, weight in self.problem.weights.items()}
-        recommendation = SchemaRecommendation(indexes, query_plans,
-                                              update_plans, weights,
-                                              total_cost)
+        recommendation = SchemaRecommendation(
+            indexes, {query: plan.bind(query)
+                      for query, plan in query_plans.items()},
+            update_plans, weights, total_cost)
         # the decision ledger: per-candidate selection status and, per
         # statement, the chosen plan next to the best rejected one
-        selected_keys = {self.indexes[column].key
-                         for column in range(len(self.indexes))
-                         if selected[column]}
         recommendation.ledger = solver_ledger(
             self.problem, chosen_keys, selected_keys, query_plans,
             self.plan_columns)
         return recommendation
-
-    def _used_keys(self, selected, query_plans, chosen_support):
-        """Selected column families actually needed by some chosen plan.
-
-        When the two-phase solve runs this matches the solver's minimal
-        selection; when it is skipped, cost-free selected-but-unused
-        column families are pruned here (dropping one never violates a
-        constraint: no chosen plan references it, and its maintenance
-        gates only bind when it is kept).
-        """
-        selected_keys = {self.indexes[column].key
-                         for column in range(len(self.indexes))
-                         if selected[column]}
-        used = set()
-        for plan in query_plans.values():
-            used.update(index.key for index in plan.indexes)
-        # fixpoint: keeping a column family keeps its support plans,
-        # whose lookups may require further column families
-        plans_by_target = {}
-        for update_plan, _support, _plan, _column in self.support_columns:
-            plans_by_target.setdefault(update_plan.index.key,
-                                       set()).add(id(update_plan))
-        frontier = set(used)
-        while frontier:
-            next_frontier = set()
-            for key in frontier:
-                for plan_id in plans_by_target.get(key, ()):
-                    for chosen in chosen_support.get(plan_id, []):
-                        for index in chosen.indexes:
-                            if index.key not in used:
-                                next_frontier.add(index.key)
-            used |= next_frontier
-            frontier = next_frontier
-        return used & selected_keys
 
 
 class BIPOptimizer:

@@ -46,6 +46,10 @@ class BruteForceOptimizer:
         if best is None:
             raise OptimizationError("no feasible schema exists")
         (cost, _size), subset, query_plans, update_plans = best
+        query_plans = {query: plan.bind(query)
+                       for query, plan in query_plans.items()}
+        update_plans = {update: [plan.bind(update) for plan in plans]
+                        for update, plans in update_plans.items()}
         return SchemaRecommendation(subset, query_plans, update_plans,
                                     problem.weights, cost)
 
@@ -83,8 +87,9 @@ class BruteForceOptimizer:
                     chosen = min(usable, key=lambda plan: plan.cost)
                     chosen_support.append(chosen)
                     cost += weight * chosen.cost
-                kept.append(UpdatePlan(update, update_plan.index,
-                                       chosen_support, update_plan.steps))
+                kept.append(UpdatePlan(update_plan.update,
+                                       update_plan.index, chosen_support,
+                                       update_plan.steps))
             if kept:
                 update_plans[update] = kept
         return cost, query_plans, update_plans

@@ -5,6 +5,54 @@ from __future__ import annotations
 from repro.exceptions import OptimizationError
 
 
+def cheapest_plan(plans, keys):
+    """The cheapest plan using only column families in ``keys``.
+
+    Cost ties go to the smallest plan signature, so extraction is
+    byte-identical across runs and hash seeds.  None when no plan fits.
+    """
+    best = None
+    best_rank = None
+    for plan in plans:
+        if any(index.key not in keys for index in plan.indexes):
+            continue
+        rank = (plan.cost, getattr(plan, "signature", ""))
+        if best is None or rank < best_rank:
+            best, best_rank = plan, rank
+    return best
+
+
+def used_keys(query_plans, update_plans):
+    """Column families some chosen plan reads.
+
+    ``query_plans`` maps queries to their chosen plan, ``update_plans``
+    updates to the maintenance plans of the column families held (with
+    their chosen support plans).  Holding a column family runs its
+    support plans, whose lookups may need further column families, so
+    the set is closed over them.
+    """
+    used = set()
+    for plan in query_plans.values():
+        used.update(index.key for index in plan.indexes)
+    by_target = {}
+    for plans in update_plans.values():
+        for update_plan in plans:
+            by_target.setdefault(update_plan.index.key,
+                                 []).append(update_plan)
+    frontier = set(used)
+    while frontier:
+        next_frontier = set()
+        for key in frontier:
+            for update_plan in by_target.get(key, ()):
+                for plan in update_plan.support_plans:
+                    for index in plan.indexes:
+                        if index.key not in used:
+                            next_frontier.add(index.key)
+        used |= next_frontier
+        frontier = next_frontier
+    return used
+
+
 class OptimizationProblem:
     """Everything the optimizers need, in one container.
 
@@ -94,10 +142,8 @@ class OptimizationProblem:
                 return None
 
         def cheapest(plans):
-            feasible = [plan.cost for plan in plans
-                        if all(index.key in keys
-                               for index in plan.indexes)]
-            return min(feasible) if feasible else None
+            plan = cheapest_plan(plans, keys)
+            return None if plan is None else plan.cost
 
         total = 0.0
         for query, plans in self.query_plans.items():

@@ -2,7 +2,61 @@
 
 from __future__ import annotations
 
-from repro.planner.steps import DeleteStep, IndexLookupStep, InsertStep
+import copy
+
+from repro.exceptions import PlanningError
+from repro.planner.steps import (
+    DeleteStep,
+    FilterStep,
+    IndexLookupStep,
+    InsertStep,
+)
+
+
+def _paired_conditions(statement, other):
+    """The two statements' conditions, paired by position."""
+    if len(statement.conditions) != len(other.conditions):
+        raise PlanningError(
+            f"cannot bind a plan for {statement.label or statement!r} to "
+            f"{other.label or other!r}: their predicates differ")
+    return zip(statement.conditions, other.conditions)
+
+
+def _condition_map(query, statement):
+    """``{id(condition of query): condition of statement}``."""
+    return {id(old): new
+            for old, new in _paired_conditions(query, statement)}
+
+
+def _parameter_map(update, other):
+    """``{parameter of update: other's parameter in its place}``."""
+    names = {}
+
+    def pair(mine, theirs):
+        if isinstance(mine, tuple):  # IN lists
+            names.update(zip(mine, theirs))
+        else:
+            names[mine] = theirs
+
+    for mine, theirs in _paired_conditions(update, other):
+        pair(mine.parameter, theirs.parameter)
+    for attribute in ("settings", "connections"):
+        theirs = {key.id: parameter for key, parameter
+                  in _items(getattr(other, attribute, ()))}
+        for key, parameter in _items(getattr(update, attribute, ())):
+            if key.id in theirs:
+                pair(parameter, theirs[key.id])
+    return names
+
+
+def _renamed(parameter, names):
+    if isinstance(parameter, tuple):
+        return tuple(names.get(name, name) for name in parameter)
+    return names.get(parameter, parameter)
+
+
+def _items(pairs):
+    return pairs.items() if isinstance(pairs, dict) else pairs
 
 
 class PlanSpace(list):
@@ -88,6 +142,27 @@ class QueryPlan:
             self._signature = "|".join(parts)
         return self._signature
 
+    def bind(self, statement):
+        """This plan, answering ``statement`` instead of :attr:`query`.
+
+        Statements of one signature class share one plan space, whose
+        plans name the class's first statement as their query.  Another
+        member gets a copy whose ``query`` and filter conditions are its
+        own; conditions correspond by position, since one signature
+        means one ordered (field, operator) list.  Costs, column
+        families and the signature carry over.  Returns the plan itself
+        for its own query.
+        """
+        if statement is self.query:
+            return self
+        bound = copy.copy(self)
+        bound.query = statement
+        conditions = _condition_map(self.query, statement)
+        bound.steps = tuple(step.bind(conditions)
+                            if isinstance(step, FilterStep) else step
+                            for step in self.steps)
+        return bound
+
     def describe(self):
         lines = [f"Plan for {self.query.label or self.query}:"]
         lines.extend(f"  {i + 1}. {step.describe()}"
@@ -116,6 +191,20 @@ class UnionPlan(QueryPlan):
         steps = [step for plan in self.branch_plans for step in plan.steps]
         steps.extend(tail_steps)
         super().__init__(query, steps)
+
+    def bind(self, statement):
+        """Bind every branch plan to ``statement``'s branch query (see
+        :meth:`QueryPlan.bind`)."""
+        if statement is self.query:
+            return self
+        bound = copy.copy(self)
+        bound.query = statement
+        bound.branch_plans = tuple(
+            plan.bind(branch) for plan, branch
+            in zip(self.branch_plans, statement.branch_queries))
+        bound.steps = tuple(step for plan in bound.branch_plans
+                            for step in plan.steps) + self.tail_steps
+        return bound
 
     @property
     def signature(self):
@@ -161,6 +250,55 @@ class UpdatePlan:
         #: update-step cost stamped by the last cost-model pass
         self._update_cost = None
         self._by_query = None
+
+    def bind(self, update):
+        """This maintenance plan, carried out for ``update`` instead.
+
+        The counterpart of :meth:`QueryPlan.bind` for a member of the
+        update's signature class: the support plans are bound to the
+        member's own support queries (matched by position), so they
+        read the member's parameters.  Returns the plan itself for its
+        own update.
+        """
+        if update is self.update:
+            return self
+        supports = self.support_queries_of(update)
+        bound = UpdatePlan(
+            update, self.index,
+            [plan.bind(supports[plan.query])
+             for plan in self.support_plans],
+            self.steps,
+            truncated_support=[supports.get(query, query)
+                               for query in self.truncated_support])
+        bound._update_cost = self._update_cost
+        return bound
+
+    def support_queries_of(self, update):
+        """``{support query: update's own counterpart}``.
+
+        ``update`` must share this plan's update's signature.  Each
+        counterpart is the support query with its parameters renamed to
+        ``update``'s and its label derived from ``update``'s.  The
+        predicates stay over this plan's fields, so a plan that crossed
+        a process boundary keeps one consistent copy of the model.
+        """
+        from repro.workload.conditions import Condition
+        from repro.workload.statements import SupportQuery
+        names = _parameter_map(self.update, update)
+        prefix = self.update.label or type(self.update).__name__
+        own_prefix = update.label or type(update).__name__
+        supports = {}
+        for support in self.support_plans_by_query:
+            label = support.label
+            if label and label.startswith(prefix):
+                label = own_prefix + label[len(prefix):]
+            own = [Condition(condition.field, condition.operator,
+                             _renamed(condition.parameter, names))
+                   for condition in support.conditions]
+            supports[support] = SupportQuery(
+                support.key_path, support.select, own, update=update,
+                index=support.index, label=label)
+        return supports
 
     @property
     def update_steps(self):

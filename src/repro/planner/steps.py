@@ -8,6 +8,8 @@ Each step carries the cardinality estimates the cost model consumes.
 
 from __future__ import annotations
 
+import copy
+
 
 class PlanStep:
     """Base class for plan operations.
@@ -69,6 +71,14 @@ class FilterStep(PlanStep):
         super().__init__(cardinality)
         self.conditions = tuple(conditions)
         self.input_cardinality = input_cardinality
+
+    def bind(self, conditions):
+        """A copy filtering on other conditions: ``conditions`` maps
+        ``id()`` of each of this step's conditions to its replacement."""
+        bound = copy.copy(self)
+        bound.conditions = tuple(conditions.get(id(condition), condition)
+                                 for condition in self.conditions)
+        return bound
 
     def describe(self):
         preds = " AND ".join(str(c) for c in self.conditions)

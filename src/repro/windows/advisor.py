@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import time
 
-from repro import dominance
 from repro.advisor import AdvisorTiming
 from repro.exceptions import OptimizationError
 from repro.optimizer import OptimizationProblem
+from repro.optimizer.problem import cheapest_plan, used_keys
 from repro.planner.plans import UpdatePlan
 from repro.tools.migration import MigrationCostModel, plan_migration
 from repro.windows.bip import WindowedProgram
@@ -116,34 +116,21 @@ class WindowedRecommendation:
 # -- schedule evaluation ------------------------------------------------------
 
 
-def _cheapest(plans, keys):
-    """Cheapest plan feasible within ``keys``; signature breaks ties
-    so schedules extract byte-identically across runs and hash seeds."""
-    best = None
-    best_rank = None
-    for plan in plans:
-        if any(index.key not in keys for index in plan.indexes):
-            continue
-        rank = (plan.cost, dominance._signature(plan))
-        if best is None or rank < best_rank:
-            best, best_rank = plan, rank
-    return best
-
-
 def _evaluate_window(query_plans, update_plans, weights, keys, label):
-    """Score one window's schema: serving cost plus chosen plans."""
+    """Score one window's schema: serving cost plus chosen plans, each
+    bound to its own statement."""
     serving = 0.0
     chosen_queries = {}
     for query, plans in query_plans.items():
         weight = weights.get(query.label, 0.0)
         if weight <= 0.0:
             continue
-        best = _cheapest(plans, keys)
+        best = cheapest_plan(plans, keys)
         if best is None:
             raise OptimizationError(
                 f"window {label!r}: no feasible plan for "
                 f"{query.label!r} within its schema")
-        chosen_queries[query] = best
+        chosen_queries[query] = best.bind(query)
         serving += weight * best.cost
     chosen_updates = {}
     for update, plans in update_plans.items():
@@ -157,7 +144,7 @@ def _evaluate_window(query_plans, update_plans, weights, keys, label):
             supports = []
             grouped = update_plan.support_plans_by_query
             for support, support_plans in grouped.items():
-                best = _cheapest(support_plans, keys)
+                best = cheapest_plan(support_plans, keys)
                 if best is None:
                     raise OptimizationError(
                         f"window {label!r}: no feasible support plan "
@@ -166,36 +153,11 @@ def _evaluate_window(query_plans, update_plans, weights, keys, label):
                 supports.append(best)
                 serving += weight * best.cost
             serving += weight * update_plan.update_cost
-            kept.append(UpdatePlan(update, update_plan.index, supports,
-                                   update_plan.steps))
+            kept.append(UpdatePlan(update_plan.update, update_plan.index,
+                                   supports, update_plan.steps).bind(update))
         if kept:
             chosen_updates[update] = kept
     return serving, chosen_queries, chosen_updates
-
-
-def _used_keys(chosen_queries, chosen_updates):
-    """Column families some chosen plan actually reads (fixpoint over
-    support plans, mirroring the single-window extraction)."""
-    used = set()
-    for plan in chosen_queries.values():
-        used.update(index.key for index in plan.indexes)
-    by_target = {}
-    for plans in chosen_updates.values():
-        for update_plan in plans:
-            by_target.setdefault(update_plan.index.key,
-                                 []).append(update_plan)
-    frontier = set(used)
-    while frontier:
-        next_frontier = set()
-        for key in frontier:
-            for update_plan in by_target.get(key, ()):
-                for plan in update_plan.support_plans:
-                    for index in plan.indexes:
-                        if index.key not in used:
-                            next_frontier.add(index.key)
-        used |= next_frontier
-        frontier = next_frontier
-    return used
 
 
 def _trim_schedule(key_sets, used_sets):
@@ -401,7 +363,7 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     for weights, keys in zip(window_weights, key_sets):
         _serving, chosen_queries, chosen_updates = _evaluate_window(
             query_plans, update_plans, weights, keys, "windowed")
-        used_sets.append(_used_keys(chosen_queries, chosen_updates))
+        used_sets.append(used_keys(chosen_queries, chosen_updates))
     trimmed = _trim_schedule(key_sets, used_sets)
     windows, _serving, _migration = _evaluate_schedule(
         query_plans, update_plans, window_weights, schedule, trimmed,
