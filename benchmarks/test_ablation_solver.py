@@ -11,9 +11,9 @@ import pytest
 
 from bench_common import write_result
 from repro import Advisor
-from repro.advisor import prune_dominated_plans
 from repro.cost import CassandraCostModel
 from repro.demo import hotel_model
+from repro.dominance import dedupe_cheapest
 from repro.optimizer import (
     BIPOptimizer,
     BruteForceOptimizer,
@@ -52,7 +52,7 @@ def small_problem():
             continue
         for plan in plans:
             cost_model.cost_plan(plan)
-        query_plans[query] = prune_dominated_plans(plans)
+        query_plans[query] = dedupe_cheapest(plans)
     update_plans = update_planner.plan_all(workload.updates,
                                            require=False)
     for plans in update_plans.values():

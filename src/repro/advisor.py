@@ -47,48 +47,17 @@ __all__ = [
     "AdvisorTiming",
     "PreparedWorkload",
     "SchemaRecommendation",
-    "prune_dominated_plans",
     "prune_plan_space",
 ]
 
 logger = logging.getLogger("repro.advisor")
 
 
-def _signature(plan):
-    # cost ties are broken by plan signature for reproducibility; plain
-    # stand-in plan objects (as used in tests) may not carry one
-    return dominance._signature(plan)
-
-
-def prune_dominated_plans(plans, keep=None, removals=None):
-    """Drop plans that cannot appear in any optimal solution.
-
-    Two plans using the same set of column families impose identical
-    constraints on the BIP, so only the cheaper one can ever be chosen;
-    we keep the cheapest plan per distinct column-family set, and
-    optionally only the ``keep`` cheapest overall (the plan space stays
-    feasible since every retained plan is self-contained).  Cost ties
-    are broken by plan signature so the result is deterministic across
-    runs and hash seeds.  Requires costed plans.
-
-    ``removals`` is an optional list receiving one pruning-ledger entry
-    per dropped plan, naming the rule that killed it and the plan that
-    dominated it.
-    """
-    pruned = dominance.dedupe_cheapest(plans, removals=removals)
-    if keep is not None:
-        if removals is not None:
-            removals.extend(prune_entry(plan, "cap")
-                            for plan in pruned[keep:])
-        pruned = pruned[:keep]
-    return pruned
-
-
 def prune_plan_space(plans, keep=None, removals=None, engine=None):
     """Dominance-prune one statement's plan space for the optimizer.
 
-    Applies the per-column-family-set rule of
-    :func:`prune_dominated_plans`, then additionally drops any plan
+    Keeps the cheapest plan per distinct column-family set
+    (:func:`repro.dominance.dedupe_cheapest`), then drops any plan
     whose column-family set is a proper superset of a cheaper (or
     equal-cost) kept plan's: wherever the superset plan is feasible the
     subset plan is too, using no more storage and costing no more, so
@@ -96,8 +65,7 @@ def prune_plan_space(plans, keep=None, removals=None, engine=None):
     holds under a space limit and for the schema-minimising second
     solve as well.  This typically halves the BIP's plan columns.
     ``keep`` caps the result (cheapest first) after both rules.
-    ``removals`` collects pruning-ledger entries as in
-    :func:`prune_dominated_plans`.
+    ``removals`` receives one pruning-ledger entry per dropped plan.
 
     ``engine`` selects the superset-rule implementation
     (:func:`repro.dominance.superset_filter`): ``"vector"`` for the
@@ -718,11 +686,11 @@ class Advisor:
         timing.reused_statements = prepared.reused_statements
         timing.replanned_statements = prepared.replanned_statements
 
-        self._cost_prepared(prepared, timing, jobs=jobs)
-        self._prune_prepared(prepared, timing, jobs=jobs)
-        recommendation = self._optimize_prepared(prepared, weights,
-                                                 space_limit, timing,
-                                                 warm_start=warm_start)
+        query_plans, update_plans = self.pruned_plans(prepared, timing,
+                                                      jobs=jobs)
+        recommendation = self._optimize_prepared(
+            prepared, query_plans, update_plans, weights, space_limit,
+            timing, warm_start=warm_start)
         recommendation.timing = timing
         # decision provenance: candidate derivations from enumeration,
         # the dominance-pruning ledger, and the cost model for per-step
@@ -734,6 +702,23 @@ class Advisor:
         timing.total = (time.perf_counter() - started
                         + timing.enumeration + timing.planning)
         return recommendation
+
+    def pruned_plans(self, prepared, timing=None, jobs=None):
+        """The costed, dominance-pruned plan spaces of ``prepared``.
+
+        Returns ``(query_plans, update_plans)``, the optimizer's input:
+        every prepared statement's pruned plan list, and every update's
+        maintenance plans for reachable column families (support plans
+        pruned).  Costing and pruning run once per cost model and cache
+        on ``prepared``; ``timing`` (an :class:`AdvisorTiming`) receives
+        their seconds.  ``jobs`` overrides the advisor-wide worker
+        count.
+        """
+        if timing is None:
+            timing = AdvisorTiming()
+        self._cost_prepared(prepared, timing, jobs=jobs)
+        self._prune_prepared(prepared, timing, jobs=jobs)
+        return prepared._pruned_query_plans, prepared._pruned_update_plans
 
     def _cost_prepared(self, prepared, timing, jobs=None):
         """Cost all plans once per cost model (plan costs are
@@ -908,8 +893,9 @@ class Advisor:
                                                update)
                     ledger.update(records)
                 pruned_updates[update] = pruned_plans
-            prepared._pruned_update_plans = self._reachable_update_plans(
-                prepared._pruned_query_plans, pruned_updates)
+            prepared._pruned_update_plans = \
+                dominance.reachable_update_plans(
+                    prepared._pruned_query_plans, pruned_updates)
             prepared._pruning_seconds = time.perf_counter() - stage
         if active.enabled:
             active.count("prune.spaces_reused", reused_prunes)
@@ -921,21 +907,8 @@ class Advisor:
                          before - after)
         timing.pruning = prepared._pruning_seconds
 
-    @staticmethod
-    def _reachable_update_plans(query_plans, update_plans):
-        """Drop maintenance plans for unreachable candidates.
-
-        Delegates to :func:`repro.dominance.reachable_update_plans`,
-        which closes the reachable-key set over bit vectors; see there
-        for the dominance argument.
-        """
-        return dominance.reachable_update_plans(query_plans,
-                                                update_plans)
-
-    def _optimize_prepared(self, prepared, weights, space_limit, timing,
-                           warm_start=None):
-        query_plans = prepared._pruned_query_plans
-        update_plans = prepared._pruned_update_plans
+    def _optimize_prepared(self, prepared, query_plans, update_plans,
+                           weights, space_limit, timing, warm_start=None):
         staged = (hasattr(self.optimizer, "prepare")
                   and hasattr(self.optimizer, "optimize"))
         warmable = getattr(self.optimizer, "supports_warm_start", False)

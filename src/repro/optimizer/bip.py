@@ -11,6 +11,11 @@ planned iff their column family is selected (an equality constraint on
 the plan variables).  After minimising cost, a second solve finds the
 smallest schema achieving that optimum, as §V describes.
 
+The time-dependent formulation ("NoSQL Schema Design for
+Time-Dependent Workloads") is the same program with a window index and
+migration columns; :func:`solve_schedule` builds it from one problem
+per window.
+
 Solved with scipy's HiGHS MILP backend (substituting for Gurobi, which
 is unavailable offline); the formulation is identical.
 """
@@ -26,9 +31,8 @@ from scipy.sparse import csr_matrix
 from repro import telemetry
 from repro.exceptions import OptimizationError
 from repro.explain import solver_ledger
-from repro.optimizer.problem import cheapest_plan, used_keys
+from repro.optimizer.problem import used_keys
 from repro.optimizer.results import SchemaRecommendation
-from repro.planner.plans import UpdatePlan
 
 
 #: phase-2 outcome per HiGHS status; any other status is "failed"
@@ -63,6 +67,13 @@ def _same_plan_structure(previous, problem):
 class _Program:
     """A fully materialized BIP instance, ready to optimize.
 
+    Built from one problem, it is the paper's BIP.  Built from ``W``
+    per-window problems over one shared candidate order plus migration
+    terms, it is the time-dependent form of the same program (see
+    :func:`solve_schedule`): window ``w`` gets the single program's
+    block with its selection columns ``d[w,j]`` at offset ``w*J``, and
+    migration columns ``m[t,j]`` follow all ``W*J`` selections.
+
     The constraint structure depends only on the plan spaces, never on
     the statement weights — weights enter through the cost vector alone.
     :meth:`reweight` therefore re-costs a built program in place, and
@@ -70,13 +81,26 @@ class _Program:
     each materialized once and reused across solves.
     """
 
-    def __init__(self, problem, previous=None):
-        self.problem = problem
-        self.indexes = problem.indexes
+    def __init__(self, *problems, indexes=None, migration=None,
+                 previous=None):
+        #: the single-schema path's problem (the first window's)
+        self.problem = problems[0]
+        self.problems = problems
+        self.indexes = (self.problem.indexes if indexes is None
+                        else list(indexes))
         self.index_column = {index.key: column
                              for column, index in enumerate(self.indexes)}
-        self.columns = len(self.indexes)
+        #: ``(MigrationCostModel, initial keys)``, or None
+        self.migration = migration
+        #: selection columns ``d[w,j]``, the only integral ones
+        self.binaries = len(problems) * len(self.indexes)
+        self.columns = self.binaries
         self.costs = [0.0] * self.columns
+        if migration is not None:
+            model, _initial = migration
+            creation = [model.index_cost(index) for index in self.indexes]
+            self.costs.extend(creation * len(problems))
+            self.columns += self.binaries
         #: (query, plan, column) for workload query plans; the members
         #: of a signature class share their representative's columns
         self.plan_columns = []
@@ -95,7 +119,7 @@ class _Program:
         self._lower = []
         self._upper = []
         #: rows/entries belonging to the weight- and space-independent
-        #: constraint structure (everything but the space row); lets a
+        #: constraint structure (everything but the space rows); lets a
         #: later program over the same plan spaces adopt the structure
         self._structure_rows = 0
         self._structure_entries = 0
@@ -114,9 +138,9 @@ class _Program:
         if not adopted:
             self._build()
         active = telemetry.current()
-        if active.enabled:
+        if active.enabled and migration is None:
             active.gauge("bip.columns", self.columns)
-            active.gauge("bip.binary_columns", len(self.indexes))
+            active.gauge("bip.binary_columns", self.binaries)
             active.gauge("bip.rows", len(self._lower))
             active.gauge("bip.nonzeros", len(self._entries))
             active.gauge("bip.statement_classes", self.statement_classes)
@@ -163,7 +187,7 @@ class _Program:
         self._upper = previous._upper[:previous._structure_rows]
         self._structure_rows = previous._structure_rows
         self._structure_entries = previous._structure_entries
-        self._append_space_row()
+        self._append_space_rows()
         if self.problem.space_limit == previous.problem.space_limit:
             # identical matrices: the materialized solver inputs
             # (constraint matrix, entry arrays) carry over as well
@@ -175,16 +199,27 @@ class _Program:
         self.reweight(self.problem.weights)
         return True
 
-    def _append_space_row(self):
-        problem = self.problem
-        if problem.space_limit is None:
-            return
-        space = self._new_row(-np.inf, float(problem.space_limit))
-        for index in self.indexes:
-            self._entries.append(
-                (space, self.index_column[index.key], index.size))
+    def _append_space_rows(self):
+        """One storage row per window with a space limit."""
+        for window, problem in enumerate(self.problems):
+            if problem.space_limit is None:
+                continue
+            space = self._new_row(-np.inf, float(problem.space_limit))
+            offset = window * len(self.indexes)
+            for column, index in enumerate(self.indexes):
+                self._entries.append((space, offset + column, index.size))
 
     def _build(self):
+        """The migration rows, then each window's block."""
+        if self.migration is not None:
+            self._build_migrations()
+        for window, problem in enumerate(self.problems):
+            self._build_window(problem, window * len(self.indexes))
+        self._structure_rows = len(self._lower)
+        self._structure_entries = len(self._entries)
+        self._append_space_rows()
+
+    def _build_window(self, problem, offset):
         """One block of rows per signature class.
 
         Statements whose plan lists hold the same plan objects have the
@@ -193,9 +228,9 @@ class _Program:
         the summed weights has the same optimum as one per statement.
         The first statement of a class builds the rows and columns; each
         member adds its weighted costs to them and lists its own
-        ``(statement, plan, column)`` entries.
+        ``(statement, plan, column)`` entries.  ``offset`` locates the
+        window's selection columns.
         """
-        problem = self.problem
         query_classes = {}
         for query, plans in problem.query_plans.items():
             weight = problem.weight(query)
@@ -209,7 +244,7 @@ class _Program:
                     column = self._new_column(0.0)
                     columns.append(column)
                     self._entries.append((choose_one, column, 1.0))
-                    self._link_plan(column, plan, links)
+                    self._link_plan(column, plan, links, offset)
                 query_classes[key] = columns
                 self.query_groups.append(columns)
             for plan, column in zip(plans, columns):
@@ -224,39 +259,37 @@ class _Program:
             supports = update_classes.get(key)
             if supports is None:
                 supports = update_classes[key] = self._build_gates(
-                    update_plans)
+                    update_plans, offset)
             for update_plan in update_plans:
-                index_column = self.index_column[update_plan.index.key]
-                self.costs[index_column] += weight * update_plan.update_cost
+                selection = offset + self.index_column[
+                    update_plan.index.key]
+                self.costs[selection] += weight * update_plan.update_cost
             for update_plan, support, plan, column in supports:
                 self.costs[column] += weight * plan.cost
                 self.support_columns.append(
                     (update, update_plan, support, plan, column))
-        self.statement_classes = len(query_classes) + len(update_classes)
-        self._structure_rows = len(self._lower)
-        self._structure_entries = len(self._entries)
-        self._append_space_row()
+        self.statement_classes += len(query_classes) + len(update_classes)
 
-    def _build_gates(self, update_plans):
+    def _build_gates(self, update_plans, offset):
         """Support gates and plan columns of one update class; returns
         its ``(update_plan, support, plan, column)`` listing."""
         supports = []
         for update_plan in update_plans:
-            index_column = self.index_column[update_plan.index.key]
+            selection = offset + self.index_column[update_plan.index.key]
             grouped = update_plan.support_plans_by_query
             for support, plans in grouped.items():
                 # one support plan iff the column family is selected
                 gate = self._new_row(0.0, 0.0)
-                self._entries.append((gate, index_column, -1.0))
+                self._entries.append((gate, selection, -1.0))
                 links = {}
                 for plan in plans:
                     column = self._new_column(0.0)
                     supports.append((update_plan, support, plan, column))
                     self._entries.append((gate, column, 1.0))
-                    self._link_plan(column, plan, links)
+                    self._link_plan(column, plan, links, offset)
         return supports
 
-    def _link_plan(self, column, plan, links):
+    def _link_plan(self, column, plan, links, offset):
         """Plan usable only when every column family it touches exists.
 
         Links are aggregated per (statement, column family): since each
@@ -269,8 +302,27 @@ class _Program:
                 row = self._new_row(-np.inf, 0.0)
                 links[index.key] = row
                 self._entries.append(
-                    (row, self.index_column[index.key], -1.0))
+                    (row, offset + self.index_column[index.key], -1.0))
             self._entries.append((row, column, 1.0))
+
+    def _build_migrations(self):
+        """``d[t,j] - d[t-1,j] - m[t,j] <= 0`` per transition and
+        candidate; ``d[-1,j]`` is 1 exactly for the initial schema."""
+        _model, initial = self.migration
+        count = len(self.indexes)
+        for transition in range(len(self.problems)):
+            offset = transition * count
+            for column, index in enumerate(self.indexes):
+                if transition == 0:
+                    held = index.key in initial
+                    row = self._new_row(-np.inf, 1.0 if held else 0.0)
+                else:
+                    row = self._new_row(-np.inf, 0.0)
+                    self._entries.append(
+                        (row, offset - count + column, -1.0))
+                self._entries.append((row, offset + column, 1.0))
+                self._entries.append(
+                    (row, self.binaries + offset + column, -1.0))
 
     # -- re-costing -----------------------------------------------------------
 
@@ -386,7 +438,7 @@ class _Program:
         if integrality is None:
             if self._integrality is None:
                 self._integrality = np.zeros(self.columns)
-                self._integrality[:len(self.indexes)] = 1
+                self._integrality[:self.binaries] = 1
             integrality = self._integrality
         if bounds is None:
             if self._unit_bounds is None:
@@ -463,21 +515,24 @@ class _Program:
         solution warm-starts the solve.  None (no cut) when the warm
         schema is infeasible for the current problem.
         """
-        incumbent = self.problem.evaluate_schema(keys)
+        evaluation = self.problem.evaluate(keys)
         active = telemetry.current()
-        if incumbent is None:
+        if evaluation is None:
             if active.enabled:
                 active.count("bip.warm_start_infeasible")
             return None
+        incumbent = evaluation[0]
         if active.enabled:
             active.count("bip.warm_starts_applied")
             active.gauge("bip.warm_start_bound", incumbent)
+        return incumbent
+
+    def _cost_cut(self, incumbent):
+        """The base constraints plus ``cost @ x <= incumbent`` as one
+        row: the cost of a known feasible solution bounds the optimum."""
         # slack absorbs float noise only: any true optimum still
         # satisfies cost <= incumbent < incumbent + slack
-        return incumbent + 1e-7 * (1.0 + abs(incumbent))
-
-    def _cost_cut(self, bound):
-        """The base constraints plus ``cost @ x <= bound`` as one row."""
+        bound = incumbent + 1e-7 * (1.0 + abs(incumbent))
         row = len(self._lower)
         cut = [(row, column, value)
                for column, value in enumerate(self.costs)
@@ -536,9 +591,7 @@ class _Program:
         # of the full program, so no optimum is cut off)
         if active.enabled:
             active.count("bip.lp_gate_fallbacks")
-        slack = 1e-7 * (1.0 + abs(best_cost))
-        result = self._solve(self.costs,
-                             [self._cost_cut(best_cost + slack)],
+        result = self._solve(self.costs, [self._cost_cut(best_cost)],
                              options)
         return result, float(cost_vector @ result.x)
 
@@ -683,30 +736,11 @@ class _Program:
         selected_keys = {self.indexes[column].key
                          for column in range(len(self.indexes))
                          if selected[column]}
-        cheapest = {}
-
-        def choose(plans):
-            plan = cheapest.get(id(plans))
-            if plan is None:
-                plan = cheapest[id(plans)] = cheapest_plan(plans,
-                                                           selected_keys)
-                if plan is None:
-                    raise OptimizationError(
-                        "BIP solution leaves a statement without a "
-                        "feasible plan")
-            return plan
-
-        query_plans = {query: choose(plans)
-                       for query, plans in self.problem.query_plans.items()}
-        maintained = {}
-        for update, plans in self.problem.update_plans.items():
-            maintained[update] = [
-                UpdatePlan(update_plan.update, update_plan.index,
-                           [choose(support) for support in
-                            update_plan.support_plans_by_query.values()],
-                           update_plan.steps)
-                for update_plan in plans
-                if update_plan.index.key in selected_keys]
+        evaluation = self.problem.evaluate(selected_keys)
+        if evaluation is None:
+            raise OptimizationError(
+                "BIP solution leaves a statement without a feasible plan")
+        _cost, query_plans, maintained = evaluation
         # selected column families no chosen plan reads are dropped:
         # without phase 2 the solver may hold cost-free ones, and no
         # constraint binds a column family nothing uses
@@ -731,6 +765,45 @@ class _Program:
             self.problem, chosen_keys, selected_keys, query_plans,
             self.plan_columns)
         return recommendation
+
+
+def solve_schedule(problems, indexes, migration_model, initial=(),
+                   mip_rel_gap=1e-4, time_limit=120.0, incumbent=None):
+    """Solve the windowed program; returns one key set per window.
+
+    ``problems`` holds one :class:`OptimizationProblem` per window, over
+    that window's active statements and absolute weights; ``indexes``
+    fixes the shared candidate order.  Creating a column family in
+    window ``t`` that window ``t-1`` (or, for ``t = 0``, the
+    ``initial`` keys) did not hold costs ``migration_model``'s
+    ``index_cost``; drops are free.  Only the selections need
+    integrality: migration columns sit at their integral lower bound
+    ``max(0, d[t,j] - d[t-1,j])`` because their costs are non-negative.
+
+    ``incumbent`` optionally passes a known feasible schedule cost (a
+    baseline schedule is a feasible point with the same objective), an
+    upper bound that never cuts off an optimum.
+    """
+    program = _Program(*problems, indexes=indexes,
+                       migration=(migration_model, frozenset(initial)))
+    if incumbent is None:
+        constraint = program._matrix()
+    else:
+        constraint = program._cost_cut(incumbent)
+    result = program._solve(program.costs, [constraint],
+                            {"mip_rel_gap": mip_rel_gap,
+                             "time_limit": time_limit})
+    active = telemetry.current()
+    if active.enabled:
+        active.gauge("windows.bip_columns", program.columns)
+        active.gauge("windows.bip_binary_columns", program.binaries)
+        active.gauge("windows.bip_rows", len(program._lower))
+        active.gauge("windows.bip_objective",
+                     float(np.asarray(program.costs) @ result.x))
+    count = len(program.indexes)
+    return [{index.key for column, index in enumerate(program.indexes)
+             if result.x[window * count + column] > 0.5}
+            for window in range(len(problems))]
 
 
 class BIPOptimizer:

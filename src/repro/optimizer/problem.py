@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.exceptions import OptimizationError
+from repro.planner.plans import UpdatePlan
 
 
 def cheapest_plan(plans, keys):
@@ -121,17 +122,19 @@ class OptimizationProblem:
                 f"new weights miss statements: {sorted(missing)}")
         self.weights = weights
 
-    def evaluate_schema(self, keys):
-        """Total weighted cost of selecting exactly ``keys``, or None.
+    def evaluate(self, keys):
+        """The solution that holds exactly ``keys``, or None.
 
-        Evaluates the feasible solution that materializes every listed
-        column family: the cheapest plan per query restricted to
-        ``keys``, plus — for every maintained column family in ``keys``
-        — its update cost and the cheapest feasible plan per support
-        query.  Returns None when some query or open support gate has
-        no plan within ``keys`` or the schema exceeds the space limit.
-        Requires costed plans; used to turn a previous recommendation
-        into a warm-start incumbent bound for the BIP.
+        Takes the cheapest plan per query restricted to ``keys`` and,
+        for every maintained column family in ``keys``, its update cost
+        plus the cheapest feasible plan per support query.  Returns
+        ``(cost, query_plans, update_plans)``: the total weighted cost,
+        ``{query: plan}``, and ``{update: [UpdatePlan]}`` carrying the
+        chosen support plans (updates maintaining nothing in ``keys``
+        are left out).  Plans are the shared, unbound class plans.
+        None when some query or open support gate has no plan within
+        ``keys`` or the schema exceeds the space limit.  Requires
+        costed plans.
         """
         known = {index.key for index in self.indexes}
         keys = frozenset(keys) & known
@@ -140,30 +143,43 @@ class OptimizationProblem:
                              if index.key in keys)
             if total_size > self.space_limit:
                 return None
+        # the statements of a signature class share their plan lists
+        chosen = {}
 
         def cheapest(plans):
-            plan = cheapest_plan(plans, keys)
-            return None if plan is None else plan.cost
+            if id(plans) not in chosen:
+                chosen[id(plans)] = cheapest_plan(plans, keys)
+            return chosen[id(plans)]
 
         total = 0.0
+        query_plans = {}
         for query, plans in self.query_plans.items():
-            cost = cheapest(plans)
-            if cost is None:
+            plan = query_plans[query] = cheapest(plans)
+            if plan is None:
                 return None
-            total += self.weight(query) * cost
-        for update, update_plans in self.update_plans.items():
+            total += self.weight(query) * plan.cost
+        update_plans = {}
+        for update, plans in self.update_plans.items():
             weight = self.weight(update)
-            for update_plan in update_plans:
+            kept = []
+            for update_plan in plans:
                 if update_plan.index.key not in keys:
                     continue
-                total += weight * update_plan.update_cost
-                grouped = update_plan.support_plans_by_query
-                for _support, plans in grouped.items():
-                    cost = cheapest(plans)
-                    if cost is None:
+                supports = []
+                for support_plans in \
+                        update_plan.support_plans_by_query.values():
+                    plan = cheapest(support_plans)
+                    if plan is None:
                         return None
-                    total += weight * cost
-        return total
+                    supports.append(plan)
+                    total += weight * plan.cost
+                total += weight * update_plan.update_cost
+                kept.append(UpdatePlan(update_plan.update,
+                                       update_plan.index, supports,
+                                       update_plan.steps))
+            if kept:
+                update_plans[update] = kept
+        return total, query_plans, update_plans
 
     @property
     def size(self):

@@ -12,12 +12,15 @@ This package supplies that layer over the existing pipeline:
 * :class:`WindowSchedule` / :class:`WorkloadWindow` — an ordered
   sequence of (mix, request volume) windows over the workload's
   existing mix machinery, strictly validated against known mixes;
-* :class:`~repro.windows.bip.WindowedProgram` — the BIP with one
-  schema block per window plus migration decision variables priced by
-  a :class:`~repro.tools.migration.MigrationCostModel`;
 * :func:`recommend_windows` — the entry point: one union prepare
   through the incremental pipeline, static and naive-per-window
-  baselines, then the windowed solve (never worse than either);
+  baselines, then the windowed solve (never worse than either).  The
+  windowed program is the advisor's own BIP
+  (:func:`repro.optimizer.bip.solve_schedule`): one signature-class
+  block per window plus migration columns priced by a
+  :class:`~repro.tools.migration.MigrationCostModel`, and every
+  schedule is scored by
+  :meth:`~repro.optimizer.OptimizationProblem.evaluate`;
 * :func:`replan_from_monitor` — the drift-monitor bridge: decide
   migrate-or-hold for an observed mix instead of only pricing regret;
 * :func:`windows_document` — the byte-stable "nose-windows/1" document
@@ -30,7 +33,6 @@ from repro.windows.advisor import (
     recommend_windows,
     replan_from_monitor,
 )
-from repro.windows.bip import WindowedProgram
 from repro.windows.document import WINDOWS_FORMAT, windows_document
 from repro.windows.scenario import rubis_drift_scenario
 from repro.windows.schedule import (
@@ -42,7 +44,6 @@ from repro.windows.schedule import (
 __all__ = [
     "WINDOWS_FORMAT",
     "WindowSchedule",
-    "WindowedProgram",
     "WindowedRecommendation",
     "WindowResult",
     "WorkloadWindow",

@@ -6,16 +6,17 @@ statements (a single enumeration/planning/costing/pruning pass through
 the incremental pipeline), prices two baselines — the best *static*
 single schema held across all windows, and *naive per-window*
 re-advising with migrations priced after the fact — and then solves
-the windowed BIP (:class:`~repro.windows.bip.WindowedProgram`), which
+the windowed BIP (:func:`~repro.optimizer.bip.solve_schedule`, the
+advisor's program with a window index and migration columns), which
 co-optimizes per-window schemas and inter-window migrations and may
 therefore land anywhere between the two: holding one schema when
 migration outweighs the per-window win, migrating everything when it
 is cheap, or migrating only the column families that pay for
 themselves.
 
-All three strategies are scored by one evaluator (cheapest feasible
-plan per active statement per window, maintenance for held modified
-column families, migrations priced by the
+All three strategies are scored by one evaluator
+(:meth:`~repro.optimizer.OptimizationProblem.evaluate` on each window's
+active statements, migrations priced by the
 :class:`~repro.tools.migration.MigrationCostModel`), so their totals
 are directly comparable and the windowed result is never worse than
 either baseline beyond solver tolerance.
@@ -28,10 +29,9 @@ import time
 from repro.advisor import AdvisorTiming
 from repro.exceptions import OptimizationError
 from repro.optimizer import OptimizationProblem
-from repro.optimizer.problem import cheapest_plan, used_keys
-from repro.planner.plans import UpdatePlan
+from repro.optimizer.bip import solve_schedule
+from repro.optimizer.problem import used_keys
 from repro.tools.migration import MigrationCostModel, plan_migration
-from repro.windows.bip import WindowedProgram
 from repro.windows.schedule import WindowSchedule
 
 __all__ = ["WindowedRecommendation", "WindowResult", "recommend_windows"]
@@ -116,48 +116,19 @@ class WindowedRecommendation:
 # -- schedule evaluation ------------------------------------------------------
 
 
-def _evaluate_window(query_plans, update_plans, weights, keys, label):
+def _evaluate_window(problem, keys, label):
     """Score one window's schema: serving cost plus chosen plans, each
     bound to its own statement."""
-    serving = 0.0
-    chosen_queries = {}
-    for query, plans in query_plans.items():
-        weight = weights.get(query.label, 0.0)
-        if weight <= 0.0:
-            continue
-        best = cheapest_plan(plans, keys)
-        if best is None:
-            raise OptimizationError(
-                f"window {label!r}: no feasible plan for "
-                f"{query.label!r} within its schema")
-        chosen_queries[query] = best.bind(query)
-        serving += weight * best.cost
-    chosen_updates = {}
-    for update, plans in update_plans.items():
-        weight = weights.get(update.label, 0.0)
-        if weight <= 0.0:
-            continue
-        kept = []
-        for update_plan in plans:
-            if update_plan.index.key not in keys:
-                continue
-            supports = []
-            grouped = update_plan.support_plans_by_query
-            for support, support_plans in grouped.items():
-                best = cheapest_plan(support_plans, keys)
-                if best is None:
-                    raise OptimizationError(
-                        f"window {label!r}: no feasible support plan "
-                        f"for {update.label!r} maintaining "
-                        f"{update_plan.index.key}")
-                supports.append(best)
-                serving += weight * best.cost
-            serving += weight * update_plan.update_cost
-            kept.append(UpdatePlan(update_plan.update, update_plan.index,
-                                   supports, update_plan.steps).bind(update))
-        if kept:
-            chosen_updates[update] = kept
-    return serving, chosen_queries, chosen_updates
+    evaluation = problem.evaluate(keys)
+    if evaluation is None:
+        raise OptimizationError(
+            f"window {label!r}: some active statement has no feasible "
+            f"plan within its schema")
+    serving, query_plans, update_plans = evaluation
+    return (serving,
+            {query: plan.bind(query) for query, plan in query_plans.items()},
+            {update: [plan.bind(update) for plan in plans]
+             for update, plans in update_plans.items()})
 
 
 def _trim_schedule(key_sets, used_sets):
@@ -192,24 +163,22 @@ def _trim_schedule(key_sets, used_sets):
     return trimmed
 
 
-def _evaluate_schedule(query_plans, update_plans, window_weights,
-                       schedule, key_sets, index_by_key,
+def _evaluate_schedule(problems, schedule, key_sets, index_by_key,
                        migration_model, initial):
     """Score a full schedule; returns (windows, serving, migration)."""
     results = []
     serving_total = 0.0
     migration_total = 0.0
     previous = list(initial)
-    for window, weights, keys in zip(schedule, window_weights,
-                                     key_sets):
+    for window, problem, keys in zip(schedule, problems, key_sets):
         serving, chosen_queries, chosen_updates = _evaluate_window(
-            query_plans, update_plans, weights, keys, window.label)
+            problem, keys, window.label)
         current = [index_by_key[key] for key in sorted(keys)]
         migration = plan_migration(previous, current)
         migration_cost = migration_model.migration_cost(migration)
         results.append(WindowResult(
             window, current, serving, migration, migration_cost,
-            chosen_queries, chosen_updates, weights))
+            chosen_queries, chosen_updates, problem.weights))
         serving_total += serving
         migration_total += migration_cost
         previous = current
@@ -289,20 +258,25 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     union = _union_view(workload, schedule)
     prepared = advisor.prepare(union, jobs=jobs)
     stage_timing = AdvisorTiming()
-    advisor._cost_prepared(prepared, stage_timing, jobs=jobs)
-    advisor._prune_prepared(prepared, stage_timing, jobs=jobs)
-    query_plans = prepared._pruned_query_plans
-    update_plans = prepared._pruned_update_plans
+    query_plans, update_plans = advisor.pruned_plans(prepared, stage_timing,
+                                                     jobs=jobs)
     window_weights = _window_weight_rows(workload, schedule)
     aggregate = {}
     for row in window_weights:
         for label, weight in row.items():
             aggregate[label] = aggregate.get(label, 0.0) + weight
-    union_problem = OptimizationProblem(query_plans, update_plans,
-                                        aggregate,
-                                        space_limit=space_limit)
-    index_by_key = {index.key: index
-                    for index in union_problem.indexes}
+    # one problem per window over its active statements: idle writes
+    # never force their column families in
+    problems = [
+        OptimizationProblem(
+            {query: plans for query, plans in query_plans.items()
+             if weights.get(query.label, 0.0) > 0.0},
+            {update: plans for update, plans in update_plans.items()
+             if weights.get(update.label, 0.0) > 0.0},
+            weights, space_limit=space_limit)
+        for weights in window_weights]
+    indexes = OptimizationProblem(query_plans, update_plans, {}).indexes
+    index_by_key = {index.key: index for index in indexes}
     for index in initial:
         index_by_key.setdefault(index.key, index)
     timing["prepare"] = time.perf_counter() - started
@@ -314,9 +288,9 @@ def recommend_windows(advisor, workload, schedule, initial=None,
                                             jobs=jobs)
     static_keys = {index.key for index in static_rec.indexes}
     static_windows, static_serving, static_migration = \
-        _evaluate_schedule(query_plans, update_plans, window_weights,
-                           schedule, [static_keys] * len(schedule),
-                           index_by_key, migration_model, initial)
+        _evaluate_schedule(problems, schedule,
+                           [static_keys] * len(schedule), index_by_key,
+                           migration_model, initial)
     timing["static"] = time.perf_counter() - started
 
     # -- naive baseline: re-advise each window, price migrations after
@@ -324,15 +298,7 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     warmable = getattr(advisor.optimizer, "supports_warm_start", False)
     naive_keys = []
     previous = initial if initial else None
-    for weights in window_weights:
-        active_queries = {
-            query: plans for query, plans in query_plans.items()
-            if weights.get(query.label, 0.0) > 0.0}
-        active_updates = {
-            update: plans for update, plans in update_plans.items()
-            if weights.get(update.label, 0.0) > 0.0}
-        problem = OptimizationProblem(active_queries, active_updates,
-                                      weights, space_limit=space_limit)
+    for problem in problems:
         if warmable and previous is not None:
             window_rec = advisor.optimizer.solve(problem,
                                                  warm_start=previous)
@@ -341,33 +307,29 @@ def recommend_windows(advisor, workload, schedule, initial=None,
         naive_keys.append({index.key for index in window_rec.indexes})
         previous = window_rec
     naive_windows, naive_serving, naive_migration = \
-        _evaluate_schedule(query_plans, update_plans, window_weights,
-                           schedule, naive_keys, index_by_key,
+        _evaluate_schedule(problems, schedule, naive_keys, index_by_key,
                            migration_model, initial)
     timing["naive"] = time.perf_counter() - started
 
     # -- the windowed program: schemas and migrations co-optimized
     started = time.perf_counter()
-    program = WindowedProgram(query_plans, update_plans, window_weights,
-                              union_problem.indexes, migration_model,
-                              initial=(index.key for index in initial),
-                              space_limit=space_limit)
     incumbent = min(static_serving + static_migration,
                     naive_serving + naive_migration)
-    key_sets = program.solve(mip_rel_gap=mip_rel_gap,
-                             time_limit=time_limit,
-                             incumbent=incumbent)
+    key_sets = solve_schedule(problems, indexes, migration_model,
+                              initial=(index.key for index in initial),
+                              mip_rel_gap=mip_rel_gap,
+                              time_limit=time_limit, incumbent=incumbent)
     # trim cost-tie selections nothing reads, then re-score: the final
     # totals come from the shared evaluator, not the solver objective
     used_sets = []
-    for weights, keys in zip(window_weights, key_sets):
+    for problem, keys in zip(problems, key_sets):
         _serving, chosen_queries, chosen_updates = _evaluate_window(
-            query_plans, update_plans, weights, keys, "windowed")
+            problem, keys, "windowed")
         used_sets.append(used_keys(chosen_queries, chosen_updates))
     trimmed = _trim_schedule(key_sets, used_sets)
     windows, _serving, _migration = _evaluate_schedule(
-        query_plans, update_plans, window_weights, schedule, trimmed,
-        index_by_key, migration_model, initial)
+        problems, schedule, trimmed, index_by_key, migration_model,
+        initial)
     timing["windowed_solve"] = time.perf_counter() - started
 
     baselines = {

@@ -1,237 +1,9 @@
-"""The windowed schema-selection BIP with migration decision variables.
+"""Former home of the windowed program.
 
-Extends the per-plan formulation of :mod:`repro.optimizer.bip` across a
-window schedule: one full schema-selection block per window (selection
-variables ``d[w,j]``, choose-one plan rows, aggregated link rows,
-support gates) plus one migration variable ``m[t,j]`` per transition
-and candidate, constrained by
-
-    d[t,j] - d[t-1,j] - m[t,j] <= 0
-
-(``d[-1,j]`` is 1 exactly when candidate ``j`` is part of the initial
-schema), so ``m[t,j]`` is forced to 1 whenever window ``t`` materializes
-a column family its predecessor did not hold.  Migration variables are
-priced by a :class:`~repro.tools.migration.MigrationCostModel` — the
-same rows/bytes estimate :func:`~repro.tools.migration.plan_migration`
-reports — which makes "hold the schema" and "migrate between windows"
-directly comparable inside one objective.  Dropping a column family is
-free, as in the executor.
-
-As in the single-window program, only the selection variables need
-integrality: for any fixed 0/1 selection the plan optimum is attained
-at pure plans, and the migration variables sit at the integral lower
-bound ``max(0, d[t,j] - d[t-1,j])`` because their objective
-coefficients are non-negative.
+The windowed BIP is built by :mod:`repro.optimizer.bip`
+(:func:`~repro.optimizer.bip.solve_schedule`).  This module only keeps
+the ``milp`` name that ``perfbench/spans.py`` patches for its solver
+census.
 """
 
-from __future__ import annotations
-
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
-
-from repro import telemetry
-from repro.exceptions import OptimizationError
-
-__all__ = ["WindowedProgram"]
-
-
-class WindowedProgram:
-    """A materialized windowed BIP over shared (costed) plan spaces.
-
-    ``query_plans`` and ``update_plans`` are the union plan spaces (every
-    statement active in *any* window); ``window_weights`` is one
-    ``{label: absolute weight}`` row per window — a statement's mix
-    weight times the window's request volume, zero when it is idle —
-    and gates which blocks each window actually builds.  ``indexes``
-    fixes the candidate order (all plan columns refer into it), and
-    ``initial`` lists the column-family keys already materialized
-    before the first window (creation of anything else is charged).
-    """
-
-    def __init__(self, query_plans, update_plans, window_weights,
-                 indexes, migration_model, initial=(),
-                 space_limit=None):
-        self.query_plans = dict(query_plans)
-        self.update_plans = dict(update_plans)
-        self.window_weights = [dict(row) for row in window_weights]
-        self.indexes = list(indexes)
-        self.migration_model = migration_model
-        self.initial_keys = frozenset(initial)
-        self.space_limit = space_limit
-        self.windows = len(self.window_weights)
-        if not self.windows:
-            raise OptimizationError("windowed program needs at least "
-                                    "one window")
-        self._column_of = {index.key: j
-                           for j, index in enumerate(self.indexes)}
-        self._entries = []
-        self._lower = []
-        self._upper = []
-        # layout: W*J selection binaries, then W*J migration variables,
-        # then per-window plan/support columns (all continuous)
-        blocks = self.windows * len(self.indexes)
-        self.costs = [0.0] * (2 * blocks)
-        self.columns = 2 * blocks
-        self.objective_value = None
-        self._build()
-
-    # -- column helpers ---------------------------------------------------
-
-    def _d(self, window, j):
-        return window * len(self.indexes) + j
-
-    def _m(self, transition, j):
-        return (self.windows * len(self.indexes)
-                + transition * len(self.indexes) + j)
-
-    def _new_row(self, lower, upper):
-        self._lower.append(lower)
-        self._upper.append(upper)
-        return len(self._lower) - 1
-
-    def _new_column(self, cost):
-        self.costs.append(cost)
-        column = self.columns
-        self.columns += 1
-        return column
-
-    # -- construction -----------------------------------------------------
-
-    def _build(self):
-        for j, index in enumerate(self.indexes):
-            creation = self.migration_model.index_cost(index)
-            for transition in range(self.windows):
-                self.costs[self._m(transition, j)] = creation
-        for window, weights in enumerate(self.window_weights):
-            self._build_window(window, weights)
-        self._build_migrations()
-        if self.space_limit is not None:
-            for window in range(self.windows):
-                row = self._new_row(-np.inf, float(self.space_limit))
-                for j, index in enumerate(self.indexes):
-                    self._entries.append(
-                        (row, self._d(window, j), index.size))
-
-    def _build_window(self, window, weights):
-        for query, plans in self.query_plans.items():
-            weight = weights.get(query.label, 0.0)
-            if weight <= 0.0:
-                continue
-            choose_one = self._new_row(1.0, 1.0)
-            links = {}
-            for plan in plans:
-                column = self._new_column(weight * plan.cost)
-                self._entries.append((choose_one, column, 1.0))
-                self._link_plan(window, column, plan, links)
-        for update, update_plans in self.update_plans.items():
-            weight = weights.get(update.label, 0.0)
-            if weight <= 0.0:
-                continue
-            for update_plan in update_plans:
-                selection = self._d(
-                    window, self._column_of[update_plan.index.key])
-                self.costs[selection] += weight * update_plan.update_cost
-                grouped = update_plan.support_plans_by_query
-                for _support, plans in grouped.items():
-                    # one support plan iff this window holds the column
-                    # family the update maintains
-                    gate = self._new_row(0.0, 0.0)
-                    self._entries.append((gate, selection, -1.0))
-                    links = {}
-                    for plan in plans:
-                        column = self._new_column(weight * plan.cost)
-                        self._entries.append((gate, column, 1.0))
-                        self._link_plan(window, column, plan, links)
-
-    def _link_plan(self, window, column, plan, links):
-        """Plan usable only when this window holds every column family
-        it touches — aggregated per (statement, window, column family)
-        exactly like the single-window program."""
-        for index in plan.indexes:
-            row = links.get(index.key)
-            if row is None:
-                row = self._new_row(-np.inf, 0.0)
-                links[index.key] = row
-                self._entries.append(
-                    (row, self._d(window, self._column_of[index.key]),
-                     -1.0))
-            self._entries.append((row, column, 1.0))
-
-    def _build_migrations(self):
-        for transition in range(self.windows):
-            for j, index in enumerate(self.indexes):
-                if transition == 0:
-                    held = index.key in self.initial_keys
-                    row = self._new_row(-np.inf, 1.0 if held else 0.0)
-                else:
-                    row = self._new_row(-np.inf, 0.0)
-                    self._entries.append(
-                        (row, self._d(transition - 1, j), -1.0))
-                self._entries.append((row, self._d(transition, j), 1.0))
-                self._entries.append((row, self._m(transition, j), -1.0))
-
-    # -- solving ----------------------------------------------------------
-
-    def _constraint(self, incumbent=None):
-        entries = list(self._entries)
-        lower = list(self._lower)
-        upper = list(self._upper)
-        if incumbent is not None:
-            # incumbent-bound cut: scipy's milp has no MIP-start, so a
-            # known feasible schedule bounds the objective from above
-            row = len(lower)
-            entries.extend((row, column, value)
-                           for column, value in enumerate(self.costs)
-                           if value != 0.0)
-            lower.append(-np.inf)
-            upper.append(incumbent)
-        matrix = csr_matrix(
-            ([value for _, _, value in entries],
-             ([row for row, _, _ in entries],
-              [column for _, column, _ in entries])),
-            shape=(len(lower), self.columns))
-        return LinearConstraint(matrix, np.asarray(lower, dtype=float),
-                                np.asarray(upper, dtype=float))
-
-    def solve(self, mip_rel_gap=1e-4, time_limit=120.0, incumbent=None):
-        """Solve for the cheapest schedule; returns per-window key sets.
-
-        ``incumbent`` optionally passes a known feasible schedule cost
-        (e.g. the better of the static and naive baselines) as an upper
-        bound — every baseline schedule is a feasible point of this
-        program with the same objective value, so the bound never cuts
-        off an optimum.
-        """
-        binaries = self.windows * len(self.indexes)
-        integrality = np.zeros(self.columns)
-        integrality[:binaries] = 1
-        if incumbent is not None:
-            incumbent = incumbent + 1e-7 * (1.0 + abs(incumbent))
-        result = milp(
-            c=np.asarray(self.costs),
-            constraints=[self._constraint(incumbent=incumbent)],
-            integrality=integrality,
-            bounds=Bounds(0, 1),
-            options={"mip_rel_gap": mip_rel_gap,
-                     "time_limit": time_limit},
-        )
-        acceptable = result.success or (result.status == 1
-                                        and result.x is not None)
-        if not acceptable:
-            raise OptimizationError(
-                f"windowed BIP solve failed: {result.message}")
-        self.objective_value = float(
-            np.asarray(self.costs) @ result.x)
-        active = telemetry.current()
-        if active.enabled:
-            active.gauge("windows.bip_columns", self.columns)
-            active.gauge("windows.bip_binary_columns", binaries)
-            active.gauge("windows.bip_rows", len(self._lower))
-            active.gauge("windows.bip_objective", self.objective_value)
-        key_sets = []
-        for window in range(self.windows):
-            keys = {index.key for j, index in enumerate(self.indexes)
-                    if result.x[self._d(window, j)] > 0.5}
-            key_sets.append(keys)
-        return key_sets
+from scipy.optimize import milp  # noqa: F401

@@ -19,7 +19,6 @@ from repro.optimizer import (
     BruteForceOptimizer,
     OptimizationProblem,
 )
-from repro.planner.plans import UpdatePlan
 from repro.randgen import (
     BindingGenerator,
     random_dataset,
@@ -65,57 +64,11 @@ def advisor(model):
     return Advisor(model, max_plans=40, prune_to=8, support_prune_to=4)
 
 
-def restricted(problem, keep):
-    """``problem`` over the column families in ``keep`` only.
-
-    Plan lists are filtered once per shared list, so the statements of
-    a class keep sharing plan objects; column families whose support
-    queries lose every plan are dropped until the set is closed.
-    """
-    keep = set(keep)
-    while True:
-        filtered = {}
-
-        def within(plans):
-            kept = filtered.get(id(plans))
-            if kept is None:
-                kept = filtered[id(plans)] = [
-                    plan for plan in plans
-                    if all(index.key in keep for index in plan.indexes)]
-            return kept
-
-        maintained = {}
-        for update, plans in problem.update_plans.items():
-            rows = []
-            for update_plan in plans:
-                if update_plan.index.key not in keep:
-                    continue
-                groups = [within(group) for group
-                          in update_plan.support_plans_by_query.values()]
-                if not all(groups):
-                    keep.discard(update_plan.index.key)
-                    break
-                rows.append(filtered.setdefault(
-                    ("update", id(update_plan)),
-                    UpdatePlan(update_plan.update, update_plan.index,
-                               [plan for group in groups
-                                for plan in group], update_plan.steps)))
-            else:
-                maintained[update] = rows
-                continue
-            break
-        else:
-            queries = {query: within(plans)
-                       for query, plans in problem.query_plans.items()}
-            return OptimizationProblem(queries, maintained,
-                                       problem.weights)
-
-
 @settings(max_examples=6, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(instance=instances())
-def test_classes_solve_like_their_statements(instance):
+def test_classes_solve_like_their_statements(instance, restricted):
     seed, model, twins, merged = instance
     dataset = random_dataset(model, seed=seed, rows_per_entity=10)
     dataset.sync_counts()
@@ -137,8 +90,8 @@ def test_classes_solve_like_their_statements(instance):
 
     # the class-collapsed BIP against exhaustive search, over the
     # recommended schema plus the first few other candidates
-    problem = OptimizationProblem(prepared._pruned_query_plans,
-                                  prepared._pruned_update_plans,
+    query_plans, update_plans = twin_advisor.pruned_plans(prepared)
+    problem = OptimizationProblem(query_plans, update_plans,
                                   dict(recommendation.weights))
     chosen = [index.key for index in recommendation.indexes]
     others = sorted(index.key for index in problem.indexes

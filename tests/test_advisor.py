@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import Advisor
-from repro.advisor import prune_dominated_plans
+from repro import Advisor, dominance
+from repro.advisor import prune_plan_space
 from repro.cost import SimpleCostModel
 from repro.exceptions import PlanningError
 
@@ -101,16 +101,23 @@ def test_plan_for_schema_rejects_insufficient_schema(read_recommendation):
             workload, [entity_fetch_index(model.entity("Guest"))])
 
 
-def test_prune_dominated_plans_keeps_cheapest():
+def test_dedupe_and_cap_keep_cheapest():
     class Plan:
         def __init__(self, cost, keys):
             self.cost = cost
             self.indexes = [type("I", (), {"key": key})()
                             for key in keys]
     plans = [Plan(5.0, ["a"]), Plan(3.0, ["a"]), Plan(4.0, ["a", "b"])]
-    pruned = prune_dominated_plans(plans)
+    pruned = dominance.dedupe_cheapest(plans)
     assert {plan.cost for plan in pruned} == {3.0, 4.0}
-    assert prune_dominated_plans(plans, keep=1)[0].cost == 3.0
+    # disjoint column-family sets survive both dominance rules, so only
+    # the cap can drop the dearer one
+    disjoint = [Plan(4.0, ["b"]), Plan(3.0, ["a"])]
+    assert len(prune_plan_space(disjoint)) == 2
+    removals = []
+    (kept,) = prune_plan_space(disjoint, keep=1, removals=removals)
+    assert kept.cost == 3.0
+    assert [entry["rule"] for entry in removals] == ["cap"]
 
 
 def test_recommendation_describe_round_trip(read_recommendation):

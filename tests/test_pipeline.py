@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Advisor, TruncationWarning
-from repro.advisor import prune_dominated_plans, prune_plan_space
+from repro import Advisor, TruncationWarning, dominance
+from repro.advisor import prune_plan_space
 from repro.cost import CassandraCostModel
 from repro.demo import hotel_model, hotel_workload
 from repro.exceptions import OptimizationError
@@ -314,7 +314,7 @@ def test_prune_ties_broken_by_signature():
     plans = [_FakePlan(1.0, ["a"], "L:z"), _FakePlan(1.0, ["a"], "L:b"),
              _FakePlan(1.0, ["a"], "L:m")]
     for ordering in (plans, plans[::-1], plans[1:] + plans[:1]):
-        (kept,) = prune_dominated_plans(ordering)
+        (kept,) = dominance.dedupe_cheapest(ordering)
         assert kept.signature == "L:b"
 
 
