@@ -88,12 +88,6 @@ def test_pipeline_reuse_speedup():
     warm_median = statistics.median(warm_seconds)
     speedup = cold_seconds / warm_median
 
-    serial_advisor = Advisor(model, max_plans=MAX_PLANS, jobs=1)
-    _, serial_seconds = _timed(lambda: serial_advisor.recommend(workload))
-    parallel_advisor = Advisor(model, max_plans=MAX_PLANS, jobs=4)
-    _, parallel_seconds = _timed(
-        lambda: parallel_advisor.recommend(workload))
-
     payload = {
         "workload": "rubis/bidding",
         "cold_seconds": cold_seconds,
@@ -103,8 +97,6 @@ def test_pipeline_reuse_speedup():
         "speedup": speedup,
         "identical_recommendation": warm_identical,
         "warm_epochs": WARM_EPOCHS,
-        "serial_cold_seconds": serial_seconds,
-        "jobs4_cold_seconds": parallel_seconds,
         "cold_stages": _stage_row(cold_rec.timing),
         "warm_stages": _stage_row(warm_rec.timing),
     }
@@ -116,9 +108,7 @@ def test_pipeline_reuse_speedup():
                f"cold recommend:        {cold_seconds:.4f}s\n"
                f"warm retune (median):  {warm_median:.4f}s\n"
                f"speedup:               {speedup:.1f}x\n"
-               f"identical result:      {warm_identical}\n"
-               f"cold jobs=1 / jobs=4:  {serial_seconds:.4f}s / "
-               f"{parallel_seconds:.4f}s\n")
+               f"identical result:      {warm_identical}\n")
     print()
     print(summary)
     write_result("pipeline_reuse.txt", summary)

@@ -53,7 +53,7 @@ __all__ = [
 logger = logging.getLogger("repro.advisor")
 
 
-def prune_plan_space(plans, keep=None, removals=None, engine=None):
+def prune_plan_space(plans, keep=None, removals=None):
     """Dominance-prune one statement's plan space for the optimizer.
 
     Keeps the cheapest plan per distinct column-family set
@@ -66,18 +66,10 @@ def prune_plan_space(plans, keep=None, removals=None, engine=None):
     solve as well.  This typically halves the BIP's plan columns.
     ``keep`` caps the result (cheapest first) after both rules.
     ``removals`` receives one pruning-ledger entry per dropped plan.
-
-    ``engine`` selects the superset-rule implementation
-    (:func:`repro.dominance.superset_filter`): ``"vector"`` for the
-    bitset-matrix path, ``"scalar"`` for the reference pairwise scan,
-    ``"auto"``/None to pick by space size (overridable via the
-    ``NOSE_VECTORIZE`` environment variable).  Both produce
-    byte-identical plans and ledger entries.
     """
     plans = list(plans)
     pruned = dominance.dedupe_cheapest(plans, removals=removals)
-    kept = dominance.superset_filter(pruned, removals=removals,
-                                     engine=engine)
+    kept = dominance.superset_filter(pruned, removals=removals)
     capped = kept if keep is None else kept[:keep]
     if removals is not None and keep is not None:
         removals.extend(prune_entry(plan, "cap") for plan in kept[keep:])
@@ -327,14 +319,13 @@ class Advisor:
     ...     advisor.recommend_prepared(prepared, weights=weights)
 
     ``cost_model`` defaults to the Cassandra-style model; ``enumerator``
-    and ``optimizer`` may be swapped for the ablation studies.  ``jobs``
-    fans per-statement planning and costing over a thread pool.
+    and ``optimizer`` may be swapped for the ablation studies.
     """
 
     def __init__(self, model, cost_model=None, enumerator=None,
                  optimizer=None, max_plans=500, prune_to=32,
-                 support_prune_to=8, jobs=None, cache_size=8,
-                 artifact_cache_size=4096, prune_engine=None):
+                 support_prune_to=8, cache_size=8,
+                 artifact_cache_size=4096):
         self.model = model
         self.cost_model = cost_model or CassandraCostModel()
         self.enumerator = enumerator or CandidateEnumerator(model)
@@ -344,11 +335,6 @@ class Advisor:
         self.prune_to = prune_to
         #: plans kept per support query (their spaces are much denser)
         self.support_prune_to = support_prune_to
-        #: worker threads for per-statement planning/costing (None = serial)
-        self.jobs = jobs
-        #: dominance-pruning engine: "vector", "scalar" or "auto"/None
-        #: (see repro.dominance; both engines are byte-identical)
-        self.prune_engine = prune_engine
         #: prepared workloads kept (FIFO-evicted), keyed by structure
         self.cache_size = cache_size
         self._prepared = {}
@@ -360,19 +346,7 @@ class Advisor:
 
     # -- main entry point ----------------------------------------------------
 
-    def _effective_jobs(self, jobs=None):
-        """The one resolution path for the worker count.
-
-        Every stage that fans out — planning, costing, pruning — takes
-        its ``jobs`` through here, so a per-call override on
-        :meth:`prepare`, :meth:`recommend` or :meth:`recommend_prepared`
-        is honored everywhere instead of silently reverting to the
-        advisor-wide default mid-pipeline.
-        """
-        return self.jobs if jobs is None else jobs
-
-    def recommend(self, workload, space_limit=None, jobs=None,
-                  warm_start=None):
+    def recommend(self, workload, space_limit=None, warm_start=None):
         """Recommend a schema and one plan per statement for a workload.
 
         A thin wrapper over :meth:`prepare` + :meth:`recommend_prepared`:
@@ -384,11 +358,10 @@ class Advisor:
         :meth:`recommend_prepared`.
         """
         with telemetry.current().span("recommend"):
-            prepared = self.prepare(workload, jobs=jobs)
+            prepared = self.prepare(workload)
             return self.recommend_prepared(prepared, weights=workload,
                                            space_limit=space_limit,
-                                           warm_start=warm_start,
-                                           jobs=jobs)
+                                           warm_start=warm_start)
 
     # -- stage 1: enumeration + planning -------------------------------------
 
@@ -397,7 +370,7 @@ class Advisor:
                            in workload.weighted_statements)
         return (statements, self.max_plans)
 
-    def prepare(self, workload, jobs=None):
+    def prepare(self, workload):
         """Enumerate candidates and generate per-statement plan spaces.
 
         Preparation is incremental at two levels.  Whole prepared
@@ -414,10 +387,8 @@ class Advisor:
         BIP look across statements and always re-run).  Cold and
         incremental prepares share this one code path — a fresh advisor
         simply starts with an empty store — so incremental results are
-        identical to cold ones by construction.  ``jobs`` overrides the
-        advisor-wide worker count for this call.
+        identical to cold ones by construction.
         """
-        jobs = self._effective_jobs(jobs)
         active = telemetry.current()
         key = self._workload_key(workload)
         prepared = self._prepared.get(key)
@@ -446,11 +417,11 @@ class Advisor:
             update_planner = UpdatePlanner(self.model, planner)
             plan_artifacts = {}
             query_plans, reused_queries = self._plan_queries(
-                workload.queries, planner, plan_artifacts, jobs)
+                workload.queries, planner, plan_artifacts)
             update_artifacts = {}
             update_plans, reused_updates = self._plan_updates(
                 workload.updates, planner, update_planner,
-                update_artifacts, jobs)
+                update_artifacts)
             planning_seconds = time.perf_counter() - stage
 
         prepared = PreparedWorkload(key, workload, candidates,
@@ -493,7 +464,7 @@ class Advisor:
             return candidates(workload, store=self.artifacts)
         return candidates(workload)
 
-    def _plan_queries(self, queries, planner, artifacts, jobs):
+    def _plan_queries(self, queries, planner, artifacts):
         """Per-query plan spaces: ``({query: space}, reused count)``.
 
         A query's plan space is a pure function of its structure, the
@@ -504,11 +475,9 @@ class Advisor:
         changed.  Labels are not part of the key: the queries of one
         signature class share one artifact, planned once for the first
         of them (whose plans name it as their query; see
-        :meth:`~repro.planner.plans.QueryPlan.bind`).  Misses are
-        planned on a forked process pool (the plan-space DFS is
-        CPU-bound pure Python, which threads cannot speed up) — the
-        workers only plan, the parent owns the artifact store, and
-        store order follows the workload.
+        :meth:`~repro.planner.plans.QueryPlan.bind`).  Store hits are
+        resolved first; the misses are then planned once per class, and
+        stored in workload order.
         """
         store = self.artifacts
         missing = {}  # key -> the queries of one signature class
@@ -524,7 +493,7 @@ class Advisor:
                 reused += 1
         planned = parallel_map(
             lambda members: planner.plans_for(members[0]),
-            list(missing.values()), jobs=jobs, backend="process")
+            list(missing.values()))
         for (key, members), space in zip(missing.items(), planned):
             artifact = PlanArtifact(space)
             store.put(key, artifact)
@@ -534,7 +503,7 @@ class Advisor:
         return spaces, reused
 
     def _plan_updates(self, updates, planner, update_planner,
-                      artifacts, jobs):
+                      artifacts):
         """Maintenance plans: ``({update: [UpdatePlan]}, reused count)``.
 
         One artifact per (update, modified column family) pair, keyed
@@ -544,12 +513,10 @@ class Advisor:
         counts as reused only when every one of its pairs was served
         from the store.
 
-        The parent walks the pool, resolves keys and serves store hits;
-        only the misses — the actual support-query planning — fan out,
-        one (update, column family) pair per work item on the process
-        pool.  Workers never touch the artifact store: the process
-        backend returns pickled copies, so a worker-side ``put`` would
-        populate a store the parent never sees.
+        A first pass walks the pool, resolves keys and serves store
+        hits; the misses — the actual support-query planning — are then
+        planned once per distinct key, one (update, column family) pair
+        per work item, and stored.
         """
         store = self.artifacts
         pool = planner.pool
@@ -582,7 +549,7 @@ class Advisor:
         planned = parallel_map(
             lambda item: update_planner.plan_one(item[0], item[1],
                                                  supports=item[2]),
-            missing, jobs=jobs, backend="process")
+            missing)
         fresh = []
         for (update, index, supports, key), plan in zip(missing,
                                                         planned):
@@ -641,8 +608,7 @@ class Advisor:
         return dict(weights)
 
     def recommend_prepared(self, prepared, weights=None,
-                           space_limit=None, warm_start=None,
-                           jobs=None):
+                           space_limit=None, warm_start=None):
         """Cost, prune and solve a prepared workload.
 
         ``weights`` maps statement labels to weights; a
@@ -662,11 +628,7 @@ class Advisor:
         solver returns, so warm starting is opt-in; leave it unset when
         byte-identical reproducibility across runs matters more than
         solve time.
-
-        ``jobs`` overrides the advisor-wide worker count for this
-        call's costing and pruning stages.
         """
-        jobs = self._effective_jobs(jobs)
         timing = AdvisorTiming()
         started = time.perf_counter()
         weights = self._resolve_weights(prepared, weights)
@@ -686,8 +648,7 @@ class Advisor:
         timing.reused_statements = prepared.reused_statements
         timing.replanned_statements = prepared.replanned_statements
 
-        query_plans, update_plans = self.pruned_plans(prepared, timing,
-                                                      jobs=jobs)
+        query_plans, update_plans = self.pruned_plans(prepared, timing)
         recommendation = self._optimize_prepared(
             prepared, query_plans, update_plans, weights, space_limit,
             timing, warm_start=warm_start)
@@ -703,7 +664,7 @@ class Advisor:
                         + timing.enumeration + timing.planning)
         return recommendation
 
-    def pruned_plans(self, prepared, timing=None, jobs=None):
+    def pruned_plans(self, prepared, timing=None):
         """The costed, dominance-pruned plan spaces of ``prepared``.
 
         Returns ``(query_plans, update_plans)``, the optimizer's input:
@@ -711,27 +672,24 @@ class Advisor:
         maintenance plans for reachable column families (support plans
         pruned).  Costing and pruning run once per cost model and cache
         on ``prepared``; ``timing`` (an :class:`AdvisorTiming`) receives
-        their seconds.  ``jobs`` overrides the advisor-wide worker
-        count.
+        their seconds.
         """
         if timing is None:
             timing = AdvisorTiming()
-        self._cost_prepared(prepared, timing, jobs=jobs)
-        self._prune_prepared(prepared, timing, jobs=jobs)
+        self._cost_prepared(prepared, timing)
+        self._prune_prepared(prepared, timing)
         return prepared._pruned_query_plans, prepared._pruned_update_plans
 
-    def _cost_prepared(self, prepared, timing, jobs=None):
+    def _cost_prepared(self, prepared, timing):
         """Cost all plans once per cost model (plan costs are
-        weight-independent); statements are costed in parallel when
-        ``jobs`` is set — their step objects are disjoint.  Costing
-        *mutates* the shared plan objects in place (step costs, the
-        per-plan cost cache), so it must stay on the thread backend.
-        Plans whose artifact was already costed by this model (in an
-        earlier prepare sharing the artifact) are skipped — their step
-        costs are already in place."""
+        weight-independent).  Costing *mutates* the shared plan objects
+        in place (step costs, the per-plan cost cache), so each space
+        shared by a signature class is costed once.  Plans whose
+        artifact was already costed by this model (in an earlier
+        prepare sharing the artifact) are skipped — their step costs
+        are already in place."""
         if prepared._costed_by == id(self.cost_model):
             return
-        jobs = self._effective_jobs(jobs)
         active = telemetry.current()
         model_id = id(self.cost_model)
         with active.span("cost_calculation"):
@@ -767,8 +725,8 @@ class Advisor:
                 queued.update(map(id, pending))
                 if pending:
                     update_spaces.append(pending)
-            parallel_map(cost_space, query_spaces, jobs=jobs)
-            parallel_map(cost_update_space, update_spaces, jobs=jobs)
+            parallel_map(cost_space, query_spaces)
+            parallel_map(cost_update_space, update_spaces)
             for artifact in prepared.plan_artifacts.values():
                 artifact.costed_by = model_id
             for pairs in prepared.update_artifacts.values():
@@ -795,10 +753,12 @@ class Advisor:
         this (cost model, cap) configuration."""
         return artifact is not None and artifact.pruned_key == pruned_key
 
-    def _prune_prepared(self, prepared, timing, jobs=None):
+    def _prune_prepared(self, prepared, timing):
+        """Dominance-prune every distinct plan space once, and fill the
+        pruning ledger in workload order with one record per statement.
+        """
         if prepared._pruned_query_plans is not None:
             return
-        jobs = self._effective_jobs(jobs)
         active = telemetry.current()
         with active.span("pruning"):
             stage = time.perf_counter()
@@ -806,11 +766,6 @@ class Advisor:
             # pruned results are a pure function of costed plans and
             # the cap, so artifacts costed+pruned under the same model
             # and cap serve their pruned plans and ledger records as-is.
-            # Statements prune independently (each plan belongs to
-            # exactly one space), so misses fan out on threads — the
-            # vector engine's matrix products release the GIL — while
-            # the ledger is filled parent-side in workload order, hits
-            # and misses interleaved exactly as the serial loop would.
             query_key = (id(self.cost_model), self.prune_to)
             reused_prunes = 0
 
@@ -818,8 +773,7 @@ class Advisor:
                 query, plans = item
                 removals = []
                 kept = prune_plan_space(plans, self.prune_to,
-                                        removals=removals,
-                                        engine=self.prune_engine)
+                                        removals=removals)
                 return kept, prune_record(query, len(plans), len(kept),
                                           removals)
 
@@ -835,7 +789,7 @@ class Advisor:
                 if not hit:
                     pending.setdefault(id(plans), (query, plans))
             pruned = dict(zip(pending, parallel_map(
-                prune_query, list(pending.values()), jobs=jobs)))
+                prune_query, list(pending.values()))))
             pruned_query_plans = {}
             for query, plans, artifact, hit in query_items:
                 if hit:
@@ -872,7 +826,7 @@ class Advisor:
                         pending.setdefault(id(update_plan), update_plan)
                 update_items.append((update, rows))
             pruned = dict(zip(pending, parallel_map(
-                prune_update, list(pending.values()), jobs=jobs)))
+                prune_update, list(pending.values()))))
             pruned_updates = {}
             for update, rows in update_items:
                 pruned_plans = []
@@ -985,8 +939,7 @@ class Advisor:
         for query, plans in update_plan.support_plans_by_query.items():
             removals = [] if ledger is not None else None
             kept = prune_plan_space(plans, self.support_prune_to,
-                                    removals=removals,
-                                    engine=self.prune_engine)
+                                    removals=removals)
             pruned.extend(kept)
             if ledger is not None:
                 label = query.label or str(query)

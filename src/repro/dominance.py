@@ -23,11 +23,10 @@ kept plans; the vector path tests *all* earlier plans, which is
 equivalent by transitivity: a dominated dominator's own kept dominator
 is a subset of it, hence also of the dominated plan.
 
-Engine choice: the ``engine`` argument (``"auto"``, ``"vector"``,
-``"scalar"``), else the ``NOSE_VECTORIZE`` environment variable, else
-``auto`` — which uses the vector path for spaces of at least
-:data:`VECTOR_MIN_PLANS` plans, below which the matrix build costs more
-than the scan it replaces.
+The engine is chosen by space size: the vector path runs for spaces of
+at least :data:`VECTOR_MIN_PLANS` plans, below which the matrix build
+costs more than the scan it replaces.  The test suite cross-checks the
+two engines (``tests/test_dominance_engines.py``).
 
 The module also hosts the vectorized maintenance-plan reachability
 closure (:func:`reachable_update_plans`): one boolean support-matrix
@@ -36,8 +35,6 @@ a Python worklist.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -49,33 +46,11 @@ __all__ = [
     "dedupe_cheapest",
     "plan_keys",
     "reachable_update_plans",
-    "resolve_engine",
     "superset_filter",
 ]
 
 #: below this many plans the scalar scan beats building the matrices
 VECTOR_MIN_PLANS = 64
-
-_ENGINES = ("auto", "vector", "scalar")
-
-_ENGINE_ALIASES = {
-    "1": "vector", "true": "vector", "on": "vector", "yes": "vector",
-    "0": "scalar", "false": "scalar", "off": "scalar", "no": "scalar",
-    "": "auto",
-}
-
-
-def resolve_engine(engine=None):
-    """Normalize an engine choice; None consults ``NOSE_VECTORIZE``."""
-    if engine is None:
-        engine = os.environ.get("NOSE_VECTORIZE", "auto")
-    engine = str(engine).strip().lower()
-    engine = _ENGINE_ALIASES.get(engine, engine)
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown dominance engine {engine!r}; expected one of "
-            f"{', '.join(_ENGINES)} (or a NOSE_VECTORIZE boolean)")
-    return engine
 
 
 def _signature(plan):
@@ -137,7 +112,7 @@ def dedupe_cheapest(plans, removals=None):
                   key=lambda plan: (plan.cost, _signature(plan)))
 
 
-def superset_filter(plans, removals=None, engine=None):
+def superset_filter(plans, removals=None):
     """The superset-cfset rule over a deduplicated, sorted plan list.
 
     ``plans`` must be in ascending (cost, signature) order with
@@ -148,9 +123,7 @@ def superset_filter(plans, removals=None, engine=None):
     plan, attributed to its first kept dominator.
     """
     plans = list(plans)
-    engine = resolve_engine(engine)
-    use_vector = engine == "vector" or (
-        engine == "auto" and len(plans) >= VECTOR_MIN_PLANS)
+    use_vector = len(plans) >= VECTOR_MIN_PLANS
     active = telemetry.current()
     if active.enabled:
         active.count("prune.vector_spaces" if use_vector

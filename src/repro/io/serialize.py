@@ -341,8 +341,8 @@ def dump_windows(document, path):
 
     Accepts either a prepared document dict or a
     :class:`~repro.windows.advisor.WindowedRecommendation`.  Keys are
-    sorted and a trailing newline appended, so serial and ``jobs=N``
-    windowed runs of the same schedule are byte-identical on disk.
+    sorted and a trailing newline appended, so two windowed runs of
+    the same schedule are byte-identical on disk.
     """
     if not isinstance(document, dict):
         document = document.document()
@@ -370,8 +370,8 @@ def dump_monitor(document, path):
     """Write a "nose-monitor/1" drift document as stable JSON.
 
     Keys are sorted and a trailing newline appended, matching the
-    other document dumpers, so serial and ``jobs=N`` monitored runs of
-    the same traffic produce byte-identical files.
+    other document dumpers, so two monitored runs of the same traffic
+    produce byte-identical files.
     """
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)

@@ -54,7 +54,7 @@ def epsilon_floored_workload(workload, base_mix, live_mix=LIVE_MIX,
 
 def drift_demo(half_life=60.0, requests=400, checkpoint_every=20,
                weight_threshold=0.1, structural_threshold=1,
-               seed=0, jobs=None, users=2000, capture=None):
+               seed=0, users=2000, capture=None):
     """Run the browsing→bidding shift; return the monitor document.
 
     The first half of ``requests`` replays the browsing mix (the mix
@@ -77,8 +77,8 @@ def drift_demo(half_life=60.0, requests=400, checkpoint_every=20,
     dataset.sync_counts()
 
     advisor = Advisor(model)
-    prepared = advisor.prepare(advised, jobs=jobs)
-    recommendation = advisor.recommend_prepared(prepared, jobs=jobs)
+    prepared = advisor.prepare(advised)
+    recommendation = advisor.recommend_prepared(prepared)
 
     monitor = WorkloadMonitor(advised, half_life=half_life)
     # warm up for a full schedule round before alerting: the replay
@@ -111,8 +111,7 @@ def drift_demo(half_life=60.0, requests=400, checkpoint_every=20,
     if alert_request is None and final["weight_alert"]:
         alert_request = executed
 
-    regret = estimate_regret(advisor, advised, recommendation, monitor,
-                             jobs=jobs)
+    regret = estimate_regret(advisor, advised, recommendation, monitor)
     if capture is not None:
         capture.update(advisor=advisor, workload=advised,
                        recommendation=recommendation, monitor=monitor)

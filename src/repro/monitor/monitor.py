@@ -20,7 +20,7 @@ ingested request (so ``half_life`` reads as "requests until an idle
 estimate halves"), and trace events may carry their own timestamps in
 whatever unit the trace chose.  The store's simulated service time is
 tracked alongside for reporting.  Keeping wall-clock out makes monitor
-documents byte-stable across runs and across ``jobs=N``.
+documents byte-stable across runs.
 """
 
 from __future__ import annotations

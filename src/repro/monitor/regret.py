@@ -22,7 +22,7 @@ __all__ = ["estimate_regret"]
 
 
 def estimate_regret(advisor, workload, recommendation, observed,
-                    space_limit=None, jobs=None):
+                    space_limit=None):
     """Price ``recommendation`` under ``observed`` weights vs re-advising.
 
     ``observed`` is either a ``{label: weight}`` mapping or anything
@@ -57,10 +57,9 @@ def estimate_regret(advisor, workload, recommendation, observed,
     for label, (_advised_weight, unweighted) in \
             recommendation.statement_costs.items():
         stale += weights.get(label, 0.0) * unweighted
-    prepared = advisor.prepare(workload, jobs=jobs)
+    prepared = advisor.prepare(workload)
     fresh = advisor.recommend_prepared(prepared, weights=weights,
-                                       space_limit=space_limit,
-                                       jobs=jobs)
+                                       space_limit=space_limit)
     regret = stale - fresh.total_cost
     section = {
         "stale_cost": round(stale, 6),

@@ -1,73 +1,20 @@
-"""Ordered parallel map shared by the advisor pipeline.
+"""Ordered map shared by the advisor pipeline.
 
-Planning and costing are independent per statement, so the advisor fans
-them out when ``jobs > 1``.  Two backends are available:
-
-* ``"thread"`` — a thread pool.  Plan objects stay shared by identity
-  (the costing pass mutates step costs in place and the optimizer
-  relies on ``id()``-stable plans), so this is the only safe backend
-  for stages that mutate their inputs.  Pure-Python work gains nothing
-  under the GIL; numpy/scipy sections still overlap.
-* ``"process"`` — a ``fork``-based process pool for CPU-bound
-  pure-Python work (the planners' plan-space DFS).  The work — function
-  and items, typically closing over the shared read-only candidate
-  pool — is published in a module global *before* the fork, so workers
-  inherit it copy-on-write and nothing is pickled on the way out; only
-  compact ``(start, stop)`` chunk spans go to the workers and only
-  results come back.  Results are therefore *copies*: callers must not
-  rely on output identity with their inputs, and must do any shared
-  bookkeeping (artifact stores) parent-side.  Telemetry is the
-  exception: each chunk runs under a fresh worker-local sink whose
-  metrics and spans are shipped back with the results and merged into
-  the parent registry, so counter totals match the serial run exactly.
-  Where ``fork`` is unavailable the thread backend is used instead.
-
-Fanning out costs real time (pool start-up, result pickling), so
-``parallel_map`` falls back to serial execution when the work cannot
-pay for it: when the host has a single CPU (process backend), and when
-the estimated total work — ``cost_hint`` seconds per item when the
-caller knows it, otherwise the measured duration of the first item —
-is below ``min_parallel_seconds``.  Fallbacks count against the
-``parallel.fallback_serial`` telemetry counter; ``force=True``
-disables them (tests exercise the pool machinery on any host).
-
-Two pipeline-wide concerns are handled here rather than at every call
-site: worker exceptions are re-raised with the originating item
-attached (an exception note on Python 3.11+, and always as the
-``parallel_item`` attribute) so a failure in a ``jobs=N`` run names the
-statement that caused it — the first failure in *input* order wins,
-exactly as in the serial loop; and, when telemetry is active, thread
-workers adopt the caller's current span so their spans nest under the
-stage that fanned the work out.  A worker process killed mid-chunk
-surfaces as :class:`concurrent.futures.process.BrokenProcessPool`
-rather than a hang.
+Planning, costing and pruning are independent per statement signature
+class, and the advisor runs each stage as one ordered map over its
+work items.  The map is serial: once signature classes became the unit
+of work, fanning out measured slower than serial on every workload.
+It stays one function so that a failure anywhere in a stage is
+re-raised with the originating item attached (an exception note on
+Python 3.11+, and always as the ``parallel_item`` attribute), naming
+the statement that caused it.  The name ``parallel_map`` is kept
+because layer tracers wrap ``repro.advisor.parallel_map`` to count
+stage work items.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-
-import multiprocessing
-
-from repro import telemetry
-
 __all__ = ["describe_item", "parallel_map"]
-
-#: estimated total seconds of work below which fanning out is a loss
-#: (pool start-up plus per-item dispatch overhead)
-MIN_PARALLEL_SECONDS = 0.1
-
-#: work published to forked workers: ``(function, items)``; non-None
-#: only while a process pool is running, and inherited by the children
-#: as their signal that they *are* children (nested fan-out runs
-#: serially instead of forking grandchildren)
-_WORK = None
-
-_BACKENDS = ("thread", "process")
 
 
 def describe_item(item):
@@ -98,176 +45,17 @@ def _annotate(error, item):
         add_note(context)
 
 
-def _run_chunk(span):
-    """Worker-side chunk runner: ``(results, telemetry snapshot)``.
+def parallel_map(function, items):
+    """``[function(item) for item in items]``, in input order.
 
-    ``results`` is ``[(position, ok, value-or-error)]``, stopping at
-    the chunk's first failure (matching the serial loop, which never
-    runs anything after an exception).  Errors that cannot be pickled
-    back are replaced by a picklable stand-in carrying their repr.
-
-    The forked worker inherits a *copy* of the parent's telemetry sink,
-    so anything recorded into it would be silently lost with the
-    process.  When telemetry is active, the chunk instead runs under a
-    fresh worker-local sink and its metrics and spans are shipped back
-    with the results for the parent to merge — serial and ``jobs=N``
-    runs therefore report identical counter totals.
+    The first exception propagates annotated with the item that raised
+    it; nothing after it runs.
     """
-    function, items = _WORK
-    start, stop = span
-    local = None
-    scope = contextlib.nullcontext(None)
-    if telemetry.current().enabled:
-        scope = telemetry.activate(telemetry.Telemetry("chunk"))
     results = []
-    with scope as local:
-        for position in range(start, stop):
-            try:
-                results.append((position, True,
-                                function(items[position])))
-            except Exception as error:
-                try:
-                    pickle.dumps(error)
-                except Exception:
-                    error = RuntimeError(
-                        f"unpicklable worker exception: {error!r}")
-                results.append((position, False, error))
-                break
-    snapshot = None
-    if local is not None:
-        local.tracer.finish()
-        snapshot = {
-            "metrics": local.metrics.as_dict(),
-            "spans": [child.as_dict()
-                      for child in local.tracer.root.children],
-        }
-    return results, snapshot
-
-
-def _fallback_serial(run, items, active, reason):
-    if active.enabled:
-        active.count("parallel.fallback_serial")
-        active.count(f"parallel.fallback_serial.{reason}")
-    return [run(item) for item in items]
-
-
-def parallel_map(function, items, jobs=None, backend="thread",
-                 cost_hint=None, min_parallel_seconds=None, force=False):
-    """``[function(item) for item in items]``, optionally on a pool.
-
-    Results are returned in input order regardless of completion order,
-    and the first exception (in input order) propagates exactly as it
-    would from the serial loop — annotated with the item that raised
-    it.  ``jobs`` of ``None``, 0 or 1 runs serially with no pool
-    overhead.
-
-    ``backend`` selects threads (default; shared objects, safe for
-    mutating stages) or forked processes (CPU-bound pure-Python work;
-    results are copies).  ``cost_hint`` is the caller's estimate of
-    seconds per item; without it the first item is timed and the rest
-    fanned out only when the extrapolated total clears
-    ``min_parallel_seconds`` (default :data:`MIN_PARALLEL_SECONDS`).
-    ``force=True`` skips the serial-fallback heuristics (not the
-    ``jobs``/size contract) so tests reach the pool on any host.
-    """
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown parallel backend {backend!r}; "
-                         f"expected one of {', '.join(_BACKENDS)}")
-    items = list(items)
-    if min_parallel_seconds is None:
-        min_parallel_seconds = MIN_PARALLEL_SECONDS
-
-    def run(item):
+    for item in items:
         try:
-            return function(item)
+            results.append(function(item))
         except Exception as error:
             _annotate(error, item)
             raise
-
-    if not jobs or jobs <= 1 or len(items) <= 1:
-        return [run(item) for item in items]
-    # a forked worker must not fork grandchildren
-    if backend == "process" and _WORK is not None:
-        return [run(item) for item in items]
-    active = telemetry.current()
-    if not force:
-        if backend == "process" and (os.cpu_count() or 1) <= 1:
-            return _fallback_serial(run, items, active, "single-cpu")
-        if cost_hint is not None \
-                and cost_hint * len(items) < min_parallel_seconds:
-            return _fallback_serial(run, items, active, "small-work")
-    head = []
-    if cost_hint is None and not force:
-        # no estimate: measure the first item, fan out only what's left
-        # if the extrapolated remainder pays for a pool
-        started = time.perf_counter()
-        head = [run(items[0])]
-        elapsed = time.perf_counter() - started
-        items = items[1:]
-        if elapsed * len(items) < min_parallel_seconds:
-            return head + _fallback_serial(run, items, active,
-                                           "small-work")
-    if active.enabled:
-        active.count("parallel.batches")
-        active.count("parallel.items", len(items))
-    if backend == "process":
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if context is None:
-            if active.enabled:
-                active.count("parallel.process_unavailable")
-        else:
-            return head + _process_map(function, items, jobs, context,
-                                       active)
-    return head + _thread_map(run, items, jobs, active)
-
-
-def _thread_map(run, items, jobs, active):
-    worker = run
-    if active.enabled:
-        parent = active.current_span()
-
-        def adopted(item):
-            with active.adopt(parent):
-                return run(item)
-        worker = adopted
-    with ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(worker, items))
-
-
-def _process_map(function, items, jobs, context, active):
-    """Fan chunks out over forked workers; first input-order error wins."""
-    global _WORK
-    count = len(items)
-    workers = min(jobs, count)
-    # a few chunks per worker balance uneven items without drowning the
-    # pool in dispatch overhead
-    chunk = max(1, -(-count // (workers * 4)))
-    spans = [(start, min(start + chunk, count))
-             for start in range(0, count, chunk)]
-    _WORK = (function, items)
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            chunked = list(pool.map(_run_chunk, spans))
-    finally:
-        _WORK = None
-    results = [None] * count
-    failure = None
-    for chunk_results, snapshot in chunked:
-        if snapshot is not None and active.enabled:
-            # worker-side telemetry came back with the chunk; merging
-            # in span order keeps gauge last-write-wins deterministic
-            active.merge_snapshot(snapshot)
-        for position, ok, value in chunk_results:
-            if ok:
-                results[position] = value
-            elif failure is None or position < failure[0]:
-                failure = (position, value)
-    if failure is not None:
-        position, error = failure
-        _annotate(error, items[position])
-        raise error
     return results

@@ -279,8 +279,7 @@ class UpdatePlan:
         ``update`` must share this plan's update's signature.  Each
         counterpart is the support query with its parameters renamed to
         ``update``'s and its label derived from ``update``'s.  The
-        predicates stay over this plan's fields, so a plan that crossed
-        a process boundary keeps one consistent copy of the model.
+        predicates stay over this plan's fields.
         """
         from repro.workload.conditions import Condition
         from repro.workload.statements import SupportQuery

@@ -193,16 +193,15 @@ class QueryPlanner:
             tail.append(LimitStep(query.limit, out))
         return UnionPlan(query, branch_plans, tail)
 
-    def plan_all(self, queries, require=True, jobs=None):
+    def plan_all(self, queries, require=True):
         """Plan spaces for many queries: ``{query: PlanSpace}``.
 
-        Per-query enumeration is independent; ``jobs`` fans it out over
-        a thread pool (input order, hence result determinism, is kept).
+        A failure names the query that raised it.
         """
         queries = list(queries)
         spaces = parallel_map(
             lambda query: self.plans_for(query, require=require),
-            queries, jobs=jobs)
+            queries)
         return dict(zip(queries, spaces))
 
     def best_plan(self, query, cost_model):

@@ -62,17 +62,16 @@ class UpdatePlanner:
         """
         return list(support_queries(update, index))
 
-    def plan_all(self, updates, indexes=None, require=True, jobs=None):
+    def plan_all(self, updates, indexes=None, require=True):
         """Maintenance plan spaces for many updates: ``{update: [plans]}``.
 
-        Per-update planning is independent; ``jobs`` fans it out over a
-        thread pool while keeping results in input order.
+        A failure names the update that raised it.
         """
         updates = list(updates)
         spaces = parallel_map(
             lambda update: self.plans_for(update, indexes=indexes,
                                           require=require),
-            updates, jobs=jobs)
+            updates)
         return dict(zip(updates, spaces))
 
     def plan_one(self, update, index, require=True, supports=None):

@@ -7,9 +7,8 @@ time went.  Three pieces, no external dependencies:
 
 * a **span tracer** — nested wall-clock intervals (monotonic clocks)
   built with a context manager or the :func:`traced` decorator.  Span
-  stacks are per-thread, and :meth:`Tracer.adopt` seeds a worker
-  thread's stack with the caller's span so work fanned out through
-  ``repro.parallel`` nests under the stage that spawned it;
+  stacks are per-thread, so spans opened on another thread attach to
+  the root rather than to whatever the main thread has open;
 * a **metrics registry** — named counters, gauges and fixed-boundary
   histograms, all guarded by one lock (updates happen at per-statement
   frequency, never per plan step);
@@ -93,10 +92,9 @@ class Span:
     Times come from ``time.perf_counter`` (monotonic); ``started_at``
     additionally records the wall-clock (``time.time``) start so traces
     can be correlated with external logs.  ``children`` may have been
-    recorded on other threads (see :meth:`Tracer.adopt`) and can
-    therefore overlap each other, so ``self_seconds`` clamps at zero
-    rather than going negative when concurrent children sum past the
-    parent's wall time.
+    recorded on other threads and can therefore overlap each other, so
+    ``self_seconds`` clamps at zero rather than going negative when
+    concurrent children sum past the parent's wall time.
     """
 
     __slots__ = ("name", "attributes", "children", "started", "ended",
@@ -156,9 +154,7 @@ class Tracer:
     """Thread-safe span tracer with per-thread span stacks.
 
     Every thread sees the same root span; a thread's stack starts at
-    the root, so spans opened on a fresh thread attach there unless the
-    thread was seeded with :meth:`adopt` (as ``repro.parallel`` does,
-    attaching worker-side spans under the caller's current span).
+    the root, so spans opened on a fresh thread attach there.
     """
 
     def __init__(self, name="run"):
@@ -197,21 +193,6 @@ class Tracer:
             span.ended = time.perf_counter()
             stack.pop()
 
-    @contextmanager
-    def adopt(self, span):
-        """Parent the calling thread's spans under ``span``.
-
-        Used to carry the caller's span across a thread-pool boundary:
-        the worker enters ``adopt(parent)`` and everything it records
-        nests where the fan-out happened.
-        """
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            stack.pop()
-
     def finish(self):
         """Close the root span (idempotent)."""
         if self.root.ended is None:
@@ -221,10 +202,9 @@ class Tracer:
 def span_from_record(record):
     """Rebuild a :class:`Span` tree from its ``as_dict`` record.
 
-    Durations are preserved (``started`` is rebased to zero), absolute
-    timestamps are not — the rebuilt span only makes sense grafted into
-    another tracer's tree, which is exactly what cross-process
-    telemetry does with worker-side spans.
+    Durations and the wall-clock ``started_at`` are preserved;
+    ``started`` is rebased to zero, so the rebuilt span only makes
+    sense as a record of durations, not grafted into a live trace.
     """
     span = Span(record["name"], record.get("attributes"))
     span.started = 0.0
@@ -233,11 +213,6 @@ def span_from_record(record):
     span.children = [span_from_record(child)
                      for child in record.get("children", ())]
     return span
-
-
-def _span_tree_size(records):
-    return sum(1 + _span_tree_size(record.get("children", ()))
-               for record in records)
 
 
 # -- metrics -----------------------------------------------------------------
@@ -302,32 +277,6 @@ class Histogram:
             cumulative += bucket_count
         return self.maximum
 
-    def merge_dict(self, record):
-        """Fold a serialized histogram (``as_dict`` shape) into this one.
-
-        The parent-side half of cross-process telemetry: worker
-        processes ship their histograms back as documents and the
-        parent accumulates them here.  Boundaries must match.
-        """
-        if tuple(record["boundaries"]) != self.boundaries:
-            raise ValueError(
-                f"histogram boundaries differ: {self.boundaries} vs "
-                f"{tuple(record['boundaries'])}")
-        self.counts = [mine + theirs for mine, theirs
-                       in zip(self.counts, record["counts"])]
-        self.count += record["count"]
-        self.total += record["sum"]
-        for name, pick in (("min", min), ("max", max)):
-            value = record.get(name)
-            if value is None:
-                continue
-            mine = self.minimum if name == "min" else self.maximum
-            merged = value if mine is None else pick(mine, value)
-            if name == "min":
-                self.minimum = merged
-            else:
-                self.maximum = merged
-
     def as_dict(self):
         def rounded(value):
             return None if value is None else round(value, 6)
@@ -382,28 +331,6 @@ class MetricsRegistry:
             histogram.observe(value)
             self.ops += 1
 
-    def merge(self, snapshot):
-        """Fold a serialized registry snapshot (``as_dict`` shape) in.
-
-        Counters and histogram buckets accumulate; gauges keep
-        last-write-wins semantics (the merged snapshot counts as the
-        later write).  Used to recover metrics recorded inside
-        ``repro.parallel`` process workers, whose forked registries
-        never share memory with the parent.
-        """
-        with self._lock:
-            for name, amount in snapshot.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0) + amount
-            for name, value in snapshot.get("gauges", {}).items():
-                self.gauges[name] = value
-            for name, record in snapshot.get("histograms", {}).items():
-                histogram = self.histograms.get(name)
-                if histogram is None:
-                    histogram = self.histograms[name] = Histogram(
-                        record["boundaries"])
-                histogram.merge_dict(record)
-            self.ops += 1
-
     def as_dict(self):
         """Serializable snapshot, every section sorted by name."""
         with self._lock:
@@ -446,9 +373,6 @@ class Telemetry:
     def span(self, name, **attributes):
         return self.tracer.span(name, **attributes)
 
-    def adopt(self, span):
-        return self.tracer.adopt(span)
-
     def current_span(self):
         return self.tracer.current_span()
 
@@ -489,32 +413,6 @@ class Telemetry:
             else:
                 self.events.append(record)
 
-    def merge_snapshot(self, snapshot):
-        """Merge a worker process's serialized telemetry into this sink.
-
-        ``snapshot`` is ``{"metrics": registry.as_dict(), "spans":
-        [span.as_dict(), ...]}`` as assembled by
-        :mod:`repro.parallel`'s chunk runner.  Metrics accumulate into
-        the registry; spans are grafted (durations only) under the
-        calling thread's current span, so worker-side work nests where
-        the fan-out happened — the same place :meth:`adopt` would have
-        put it for a thread worker.
-        """
-        self.metrics.merge(snapshot.get("metrics", {}))
-        events = snapshot.get("events", ())
-        if events:
-            with self._events_lock:
-                room = self.MAX_EVENTS - len(self.events)
-                self.events.extend(events[:room])
-                self._events_dropped += max(len(events) - room, 0)
-        spans = snapshot.get("spans", ())
-        if spans:
-            parent = self.tracer.current_span()
-            rebuilt = [span_from_record(record) for record in spans]
-            with self.tracer._lock:
-                parent.children.extend(rebuilt)
-                self.tracer.span_count += _span_tree_size(spans)
-
     def report(self, meta=None):
         """Aggregate spans + metrics into a :class:`RunReport`.
 
@@ -554,9 +452,6 @@ class NullTelemetry:
     def span(self, name, **attributes):
         return _NULL_CONTEXT
 
-    def adopt(self, span):
-        return _NULL_CONTEXT
-
     def current_span(self):
         return None
 
@@ -570,9 +465,6 @@ class NullTelemetry:
         pass
 
     def event(self, name, **attributes):
-        pass
-
-    def merge_snapshot(self, snapshot):
         pass
 
     def report(self, meta=None):
@@ -598,11 +490,10 @@ def activate(telemetry=None):
     """Install ``telemetry`` (default: a fresh :class:`Telemetry`) as
     the active sink for the duration of the ``with`` block.
 
-    The sink is process-wide, not thread-local, so worker threads
-    spawned inside the block report into it.  When the
-    ``NOSE_TELEMETRY=0`` kill-switch is set the null sink stays
-    installed and the yielded handle is disabled — callers can check
-    ``handle.enabled`` to tell.
+    The sink is process-wide, not thread-local, so threads spawned
+    inside the block report into it.  When the ``NOSE_TELEMETRY=0``
+    kill-switch is set the null sink stays installed and the yielded
+    handle is disabled — callers can check ``handle.enabled`` to tell.
     """
     global _active
     if telemetry is None:

@@ -231,7 +231,7 @@ def _baseline_entry(windows, serving, migration):
 
 def recommend_windows(advisor, workload, schedule, initial=None,
                       migration_model=None, space_limit=None,
-                      jobs=None, mip_rel_gap=1e-4, time_limit=120.0):
+                      mip_rel_gap=1e-4, time_limit=120.0):
     """Recommend a schema *schedule* for an ordered set of windows.
 
     ``schedule`` is a :class:`~repro.windows.WindowSchedule` (or
@@ -256,10 +256,9 @@ def recommend_windows(advisor, workload, schedule, initial=None,
 
     started = time.perf_counter()
     union = _union_view(workload, schedule)
-    prepared = advisor.prepare(union, jobs=jobs)
+    prepared = advisor.prepare(union)
     stage_timing = AdvisorTiming()
-    query_plans, update_plans = advisor.pruned_plans(prepared, stage_timing,
-                                                     jobs=jobs)
+    query_plans, update_plans = advisor.pruned_plans(prepared, stage_timing)
     window_weights = _window_weight_rows(workload, schedule)
     aggregate = {}
     for row in window_weights:
@@ -284,8 +283,7 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     # -- static baseline: one schema, chosen for the aggregate mix
     started = time.perf_counter()
     static_rec = advisor.recommend_prepared(prepared, weights=aggregate,
-                                            space_limit=space_limit,
-                                            jobs=jobs)
+                                            space_limit=space_limit)
     static_keys = {index.key for index in static_rec.indexes}
     static_windows, static_serving, static_migration = \
         _evaluate_schedule(problems, schedule,
@@ -347,7 +345,7 @@ def recommend_windows(advisor, workload, schedule, initial=None,
 
 def replan_from_monitor(advisor, workload, recommendation, observed,
                         requests=1000.0, migration_model=None,
-                        space_limit=None, jobs=None):
+                        space_limit=None):
     """Hand a drift monitor's observed mix to the windowed advisor.
 
     Where :func:`repro.monitor.estimate_regret` only *prices* standing
@@ -375,4 +373,4 @@ def replan_from_monitor(advisor, workload, recommendation, observed,
     return recommend_windows(advisor, live, schedule,
                              initial=recommendation,
                              migration_model=migration_model,
-                             space_limit=space_limit, jobs=jobs)
+                             space_limit=space_limit)

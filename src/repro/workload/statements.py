@@ -173,16 +173,9 @@ class Statement:
         return None
 
     def condition_on(self, field):
-        """The predicate over ``field``, or None.
-
-        Fields match by identity or, for plans that crossed a process
-        boundary and carry copies of the model, by field id.
-        """
+        """The predicate over ``field``, or None."""
         for condition in self.conditions:
             if condition.field is field:
-                return condition
-        for condition in self.conditions:
-            if condition.field.id == field.id:
                 return condition
         return None
 

@@ -1,11 +1,10 @@
-"""Tests for the ordered parallel map and its failure annotation."""
+"""Tests for the ordered stage map and its failure annotation."""
 
-import os
 import sys
 
 import pytest
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.parallel import describe_item, parallel_map
 
 
@@ -14,16 +13,18 @@ class _Labelled:
         self.label = label
 
 
-@pytest.mark.parametrize("jobs", [None, 0, 1, 4])
-def test_results_preserve_input_order(jobs):
-    items = list(range(20))
-    assert parallel_map(lambda n: n * n, items, jobs=jobs) \
-        == [n * n for n in items]
+@pytest.mark.parametrize("size", [None, 0, 1, 4])
+def test_results_preserve_input_order(size):
+    # size None: a longer input handed over as a one-shot iterator
+    items = list(range(20 if size is None else size))
+    expected = [n * n for n in items]
+    source = iter(items) if size is None else items
+    assert parallel_map(lambda n: n * n, source) == expected
 
 
 def test_empty_and_single_item():
-    assert parallel_map(len, [], jobs=4) == []
-    assert parallel_map(len, ["ab"], jobs=4) == [2]
+    assert parallel_map(len, []) == []
+    assert parallel_map(len, ["ab"]) == [2]
 
 
 def test_describe_item_prefers_labels():
@@ -38,63 +39,29 @@ def test_describe_item_prefers_labels():
     assert describe_item(long).endswith("...")
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_exception_carries_originating_item(jobs):
+@pytest.mark.parametrize("position", [1, 4])
+def test_exception_carries_originating_item(position):
     def explode(item):
         if item.label == "bad":
             raise ValueError("boom")
         return item.label
 
-    items = [_Labelled("ok"), _Labelled("bad"), _Labelled("also ok")]
+    items = [_Labelled(f"ok{index}") for index in range(6)]
+    items[position] = _Labelled("bad")
     with pytest.raises(ValueError) as exc_info:
-        parallel_map(explode, items, jobs=jobs)
+        parallel_map(explode, items)
     error = exc_info.value
     assert error.parallel_item == "while processing bad"
     if sys.version_info >= (3, 11):
         assert "while processing bad" in getattr(error, "__notes__", [])
 
 
-def test_worker_spans_adopt_caller_span():
-    with telemetry.activate() as sink:
-        with sink.span("stage"):
-            def work(item):
-                with telemetry.current().span(f"item-{item}"):
-                    return item
-            assert parallel_map(work, [1, 2, 3], jobs=3,
-                                force=True) == [1, 2, 3]
-    report = sink.report()
-    stage_record, = report.spans
-    assert stage_record["name"] == "stage"
-    names = sorted(child["name"]
-                   for child in stage_record.get("children", []))
-    assert names == ["item-1", "item-2", "item-3"]
-    counters = report.metrics["counters"]
-    assert counters["parallel.batches"] == 1
-    assert counters["parallel.items"] == 3
+def test_first_exception_in_input_order_stops_the_map():
+    # the earliest failing item wins and nothing after it runs
+    seen = []
 
-
-def test_serial_path_records_no_pool_metrics():
-    with telemetry.activate() as sink:
-        parallel_map(lambda n: n, [1, 2, 3], jobs=1)
-    assert "parallel.batches" not in sink.report().metrics["counters"]
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown parallel backend"):
-        parallel_map(lambda n: n, [1, 2], jobs=2, backend="rayon")
-
-
-def test_process_backend_preserves_input_order():
-    items = list(range(50))
-    assert parallel_map(lambda n: n * 3, items, jobs=4,
-                        backend="process", force=True) \
-        == [n * 3 for n in items]
-
-
-def test_process_backend_first_exception_in_input_order():
-    # two failures land in different chunks; the one earliest in the
-    # *input* wins, exactly as the serial loop would raise it
     def explode(item):
+        seen.append(item.label)
         if item.label.startswith("bad"):
             raise ValueError(item.label)
         return item.label
@@ -103,118 +70,13 @@ def test_process_backend_first_exception_in_input_order():
     items[3] = _Labelled("bad-early")
     items[11] = _Labelled("bad-late")
     with pytest.raises(ValueError, match="bad-early") as exc_info:
-        parallel_map(explode, items, jobs=4, backend="process",
-                     force=True)
-    error = exc_info.value
-    assert error.parallel_item == "while processing bad-early"
-    if sys.version_info >= (3, 11):
-        assert "while processing bad-early" \
-            in getattr(error, "__notes__", [])
+        parallel_map(explode, items)
+    assert exc_info.value.parallel_item == "while processing bad-early"
+    assert seen == ["ok0", "ok1", "ok2", "bad-early"]
 
 
-def test_process_backend_killed_worker_raises_not_hangs():
-    from concurrent.futures.process import BrokenProcessPool
-
-    def die(n):
-        os._exit(13)
-
-    with pytest.raises(BrokenProcessPool):
-        parallel_map(die, list(range(8)), jobs=2, backend="process",
-                     force=True)
-
-
-def test_small_work_falls_back_serially_with_counter():
+def test_serial_path_records_no_pool_metrics():
     with telemetry.activate() as sink:
-        result = parallel_map(lambda n: n, list(range(5)), jobs=4,
-                              cost_hint=1e-6)
+        parallel_map(lambda n: n, [1, 2, 3])
     counters = sink.report().metrics["counters"]
-    assert result == list(range(5))
-    assert counters["parallel.fallback_serial"] == 1
-    assert counters["parallel.fallback_serial.small-work"] == 1
-    assert "parallel.batches" not in counters
-
-
-def test_measured_fallback_skips_pool_for_fast_items():
-    # no cost hint: the first item is timed and trivially fast work
-    # never reaches a pool
-    with telemetry.activate() as sink:
-        result = parallel_map(lambda n: n + 1, list(range(4)), jobs=4)
-    counters = sink.report().metrics["counters"]
-    assert result == [1, 2, 3, 4]
-    assert counters["parallel.fallback_serial"] == 1
-    assert "parallel.batches" not in counters
-
-
-def test_single_cpu_host_falls_back_serially(monkeypatch):
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-    with telemetry.activate() as sink:
-        result = parallel_map(lambda n: n * 2, [1, 2, 3], jobs=4,
-                              backend="process")
-    counters = sink.report().metrics["counters"]
-    assert result == [2, 4, 6]
-    assert counters["parallel.fallback_serial.single-cpu"] == 1
-
-
-def _metered(n):
-    active = telemetry.current()
-    active.count("work.items")
-    active.count("work.value", n)
-    active.observe("work.size", n, buckets=(2, 5, 10))
-    with active.span("work.step"):
-        return n * n
-
-
-def _work_metrics(sink):
-    """The work.*-prefixed subset of a sink's metrics, as stable JSON.
-
-    Parent-only bookkeeping (parallel.batches etc.) is legitimately
-    absent from the serial run, so only worker-recorded metrics are
-    compared.
-    """
-    import json
-    metrics = sink.report().metrics
-    subset = {
-        section: {name: record
-                  for name, record in metrics.get(section, {}).items()
-                  if name.startswith("work.")}
-        for section in ("counters", "gauges", "histograms")
-    }
-    return json.dumps(subset, sort_keys=True)
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_worker_telemetry_matches_serial_run(backend):
-    # the PR 6 fork pool silently dropped everything workers recorded
-    # (their registries are copy-on-write copies); chunk snapshots must
-    # ship the deltas back so counter totals match the serial run
-    items = list(range(17))
-    with telemetry.activate() as serial_sink:
-        serial = parallel_map(_metered, items, jobs=None)
-    with telemetry.activate() as pooled_sink:
-        pooled = parallel_map(_metered, items, jobs=4, backend=backend,
-                              force=True)
-    assert pooled == serial
-    assert _work_metrics(pooled_sink) == _work_metrics(serial_sink)
-
-
-def test_process_worker_spans_survive_the_fork():
-    items = list(range(6))
-    with telemetry.activate() as sink:
-        with sink.span("stage"):
-            parallel_map(_metered, items, jobs=2, backend="process",
-                         force=True)
-    stage, = sink.report().spans
-    worker_spans = [span for span in stage.get("children", ())
-                    if span["name"] == "work.step"]
-    assert len(worker_spans) == len(items)
-
-
-def test_nested_process_fanout_runs_serial(monkeypatch):
-    # a forked worker inherits a non-None _WORK and must not fork
-    # grandchildren
-    monkeypatch.setattr(parallel, "_WORK", (None, None))
-    with telemetry.activate() as sink:
-        result = parallel_map(lambda n: n * 2, [1, 2], jobs=4,
-                              backend="process", force=True)
-    assert result == [2, 4]
-    assert "parallel.batches" not in sink.report().metrics["counters"]
+    assert not any(name.startswith("parallel.") for name in counters)

@@ -54,21 +54,24 @@ def test_span_attributes_and_dict_shape():
 
 
 def test_span_self_seconds_clamped_for_concurrent_children():
-    # children recorded on worker threads can overlap, summing past the
-    # parent's wall clock; self time must clamp at zero
+    # spans opened on fresh threads attach to the root and can overlap,
+    # summing past the root's wall clock; self time must clamp at zero
     tracer = Tracer()
-    with tracer.span("parent") as parent:
-        def work():
-            with tracer.adopt(parent):
-                with tracer.span("child"):
-                    time.sleep(0.02)
-        threads = [threading.Thread(target=work) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    assert len(parent.children) == 3
-    assert parent.self_seconds >= 0.0
+
+    def work():
+        with tracer.span("child"):
+            time.sleep(0.05)
+    threads = [threading.Thread(target=work) for _ in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    tracer.finish()
+    root = tracer.root
+    assert [span.name for span in root.children] == ["child"] * 3
+    assert sum(span.total_seconds for span in root.children) \
+        > root.total_seconds
+    assert root.self_seconds == 0.0
 
 
 def test_fresh_thread_attaches_to_root_without_adopt():
@@ -80,19 +83,6 @@ def test_fresh_thread_attaches_to_root_without_adopt():
     thread.start()
     thread.join()
     assert [span.name for span in tracer.root.children] == ["worker"]
-
-
-def test_adopt_nests_worker_spans_under_caller():
-    tracer = Tracer()
-    with tracer.span("stage") as stage:
-        def work():
-            with tracer.adopt(stage):
-                with tracer.span("worker"):
-                    pass
-        thread = threading.Thread(target=work)
-        thread.start()
-        thread.join()
-    assert [span.name for span in stage.children] == ["worker"]
 
 
 def test_tracer_finish_is_idempotent():
@@ -163,59 +153,6 @@ def test_histogram_as_dict_carries_percentiles():
     assert record["p50"] <= record["p95"] <= record["p99"]
 
 
-def test_histogram_merge_dict_accumulates():
-    first = Histogram(boundaries=(1, 10))
-    second = Histogram(boundaries=(1, 10))
-    for value in (0.5, 5):
-        first.observe(value)
-    for value in (7, 20):
-        second.observe(value)
-    first.merge_dict(second.as_dict())
-    assert first.count == 4
-    assert first.minimum == 0.5 and first.maximum == 20
-    assert first.counts == [1, 2, 1]
-
-
-def test_histogram_merge_dict_rejects_mismatched_boundaries():
-    histogram = Histogram(boundaries=(1, 10))
-    other = Histogram(boundaries=(1, 2)).as_dict()
-    with pytest.raises(ValueError):
-        histogram.merge_dict(other)
-
-
-def test_metrics_registry_merge():
-    parent = MetricsRegistry()
-    parent.count("shared", 2)
-    parent.gauge("g", 1)
-    child = MetricsRegistry()
-    child.count("shared", 3)
-    child.count("child_only", 1)
-    child.gauge("g", 9)
-    child.observe("h", 5, buckets=(1, 10))
-    parent.merge(child.as_dict())
-    snapshot = parent.as_dict()
-    assert snapshot["counters"] == {"shared": 5, "child_only": 1}
-    assert snapshot["gauges"] == {"g": 9}
-    assert snapshot["histograms"]["h"]["count"] == 1
-
-
-def test_telemetry_merge_snapshot_grafts_spans():
-    child = Telemetry("child")
-    with child.span("work"):
-        child.count("items", 4)
-    child.tracer.finish()
-    snapshot = {"metrics": child.metrics.as_dict(),
-                "spans": [span.as_dict()
-                          for span in child.tracer.root.children]}
-    with activate() as sink:
-        with sink.span("stage"):
-            sink.merge_snapshot(snapshot)
-    report = sink.report()
-    stage, = report.spans
-    assert [span["name"] for span in stage["children"]] == ["work"]
-    assert report.metrics["counters"]["items"] == 4
-
-
 def test_metrics_registry_operations():
     registry = MetricsRegistry()
     registry.count("a")
@@ -274,8 +211,6 @@ def test_null_sink_operations_are_noops():
     sink = NullTelemetry()
     with sink.span("x") as span:
         assert span is None
-    with sink.adopt(None):
-        pass
     sink.count("c")
     sink.gauge("g", 1)
     sink.observe("h", 1)
@@ -436,16 +371,17 @@ def test_report_render_is_ascii_and_complete():
         assert len(line) < 200
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_parallel_planning_spans_nest_under_stage(jobs):
+@pytest.mark.parametrize("runs", [1, 4])
+def test_parallel_planning_spans_nest_under_stage(runs):
+    # one cold recommend, then warm ones served from the prepared cache
     model = hotel_model()
     with activate() as sink:
-        advisor = Advisor(model, cost_model=SimpleCostModel(),
-                          jobs=jobs)
-        advisor.recommend(hotel_workload(model))
+        advisor = Advisor(model, cost_model=SimpleCostModel())
+        workload = hotel_workload(model)
+        for _ in range(runs):
+            advisor.recommend(workload)
     report = sink.report()
-    # worker-side spans must not create orphan roots: the recommend
-    # span is the only top-level span and every stage nests inside it
-    recommend, = report.spans
-    assert recommend["name"] == "recommend"
+    # no orphan roots: each recommend span is a top-level span and
+    # every stage nests inside one
+    assert [span["name"] for span in report.spans] == ["recommend"] * runs
     assert set(STAGES) <= set(report.stage_totals())

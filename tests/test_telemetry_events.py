@@ -77,20 +77,6 @@ def test_event_log_caps_and_counts_drops():
     assert report.meta["events_dropped"] == 3
 
 
-def test_merge_snapshot_folds_worker_events_with_cap():
-    sink = Telemetry()
-    sink.MAX_EVENTS = 3
-    sink.event("local")
-    sink.merge_snapshot({"events": [
-        {"name": "worker.a", "seconds": 0.1},
-        {"name": "worker.b", "seconds": 0.2},
-        {"name": "worker.c", "seconds": 0.3},
-    ]})
-    assert [event["name"] for event in sink.events] \
-        == ["local", "worker.a", "worker.b"]
-    assert sink._events_dropped == 1
-
-
 def test_null_telemetry_event_is_a_no_op():
     telemetry.NULL.event("anything", detail=1)  # must not raise
     assert telemetry.NULL.enabled is False
