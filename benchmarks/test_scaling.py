@@ -12,6 +12,9 @@ growing with every added statement.  A fully-random workload grows its
 pool superlinearly with the statement count and measures enumeration
 explosion, not pipeline scaling.
 
+It also asserts that phase 2 (the schema-minimising solve) finishes at
+every size instead of running out its time limit.
+
 Writes ``BENCH_scaling.json`` at the repo root.  Knobs:
 
 ``NOSE_BENCH_SCALING_SIZES``      comma-separated statement counts
@@ -163,3 +166,8 @@ def test_scaling_near_linear():
         f"per-statement prepare time grew {growth:.2f}x from "
         f"{smallest['statements']} to {largest['statements']} "
         f"statements (bound {SUPERLINEARITY_BOUND}x)")
+    # acceptance: phase 2 finishes instead of burning its time limit
+    for row in rows:
+        assert row["phase2_outcome"] == "finished", (
+            f"phase 2 ended {row['phase2_outcome']!r} at "
+            f"{row['statements']} statements")

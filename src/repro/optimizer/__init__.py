@@ -3,8 +3,8 @@
 The problem container gathers per-statement plan spaces; the BIP solver
 (scipy's HiGHS backend, substituting for the paper's Gurobi) selects a
 set of column families and one plan per statement minimising total
-weighted cost, then re-solves to find the smallest schema achieving that
-cost, optionally under a storage constraint.  A brute-force optimizer
+weighted cost, then re-solves to shrink that schema at the same cost,
+optionally under a storage constraint.  A brute-force optimizer
 cross-checks the encoding on small instances.
 """
 

@@ -8,8 +8,9 @@ per query, and plan variables dominated by the selection variables of
 every column family they touch.  Updates contribute the ``C'_mn`` terms
 of Fig 10 directly on the selection variables, and support queries are
 planned iff their column family is selected (an equality constraint on
-the plan variables).  After minimising cost, a second solve finds the
-smallest schema achieving that optimum, as §V describes.
+the plan variables).  After minimising cost, a second solve shrinks
+that schema at the same cost (§V searches every candidate; that search
+never finished on a template or randgen workload measured).
 
 The time-dependent formulation ("NoSQL Schema Design for
 Time-Dependent Workloads") is the same program with a window index and
@@ -458,9 +459,12 @@ class _Program:
                 f"BIP solve failed: {result.message}")
         return result
 
-    def _phase2_bounds(self, best_cost, tolerance):
+    def _phase2_bounds(self, selection, best_cost, tolerance):
         """Variable fixing for the schema-minimisation solve.
 
+        A selection column phase 1 left at 0 (False in ``selection``)
+        is fixed unless no update maintains its column family: phase 1's
+        solution stays feasible, so phase 2 can only shrink its schema.
         Any solution within the phase-2 cost cap pays at least the
         cheapest plan of every query class (their sum ``lower_bound``),
         plus — for each active support gate and in full for a pure plan
@@ -470,37 +474,33 @@ class _Program:
         pure solution under the cap, and since the best cost achievable
         for a fixed schema is always attained by pure plan choices,
         fixing such columns to zero preserves a phase-2 optimum.  This
-        is a no-op when maintenance costs dominate the slack (e.g.
-        update-heavy mixes) but prunes most plan columns on read-mostly
-        workloads.  Returns ``None`` when nothing can be fixed.
+        prunes most plan columns on read-mostly workloads, where the
+        first rule fixes nothing.
         """
         costs = np.asarray(self.costs, dtype=float)
-        if costs.size == 0 or costs.min() < 0.0:
-            # negative costs void the lower-bound argument
-            return None
-        # index-selection columns must never be fixed: the group minima
-        # below are computed ignoring which column families exist
-        margins = np.full(self.columns, -np.inf)
-        lower_bound = 0.0
-        for group in self.query_groups:
-            group_costs = costs[group]
-            group_min = float(group_costs.min())
-            lower_bound += group_min
-            margins[group] = group_costs - group_min
-        for *_, column in self.support_columns:
-            # support plans cost nothing when their gate is closed, so
-            # their margin is the full column cost
-            margins[column] = costs[column]
-        slack = best_cost + tolerance - lower_bound
-        fixed = margins > slack
+        binaries = len(self.indexes)
+        fixed = np.zeros(self.columns, dtype=bool)
+        fixed[:binaries] = ~selection & (costs[:binaries] != 0.0)
+        if not (costs < 0.0).any():  # else the lower bound is void
+            # selection columns keep margin -inf: the group minima below
+            # are computed ignoring which column families exist
+            margins = np.full(self.columns, -np.inf)
+            lower_bound = 0.0
+            for group in self.query_groups:
+                group_costs = costs[group]
+                group_min = float(group_costs.min())
+                lower_bound += group_min
+                margins[group] = group_costs - group_min
+            for *_, column in self.support_columns:
+                # support plans cost nothing when their gate is closed,
+                # so their margin is the full column cost
+                margins[column] = costs[column]
+            fixed |= margins > best_cost + tolerance - lower_bound
         active = telemetry.current()
         if active.enabled:
-            active.gauge("bip.phase2_fixed_columns",
-                         int(fixed.sum()))
+            active.gauge("bip.phase2_fixed_columns", int(fixed.sum()))
             active.gauge("bip.phase2_free_columns",
                          int(self.columns - fixed.sum()))
-        if not fixed.any():
-            return None
         upper = np.ones(self.columns)
         upper[fixed] = 0.0
         return Bounds(0, upper)
@@ -603,8 +603,11 @@ class _Program:
         ``mip_rel_gap`` and ``time_limit`` bound the branch-and-bound
         effort; with a time limit the incumbent solution is returned
         (still feasible, within the reported gap of optimal).  The
-        second solve's solution is used only when that solve finishes;
-        otherwise the first's is kept (``phase2_outcome`` says which).
+        second solve minimises the column-family count at the first's
+        cost plus its gap, over the first's selection plus the column
+        families no update maintains (:meth:`_phase2_bounds`); its
+        solution is used only when that solve finishes, otherwise the
+        first's is kept (``phase2_outcome`` says which).
         ``warm_start`` optionally supplies a previous solution whose
         cost bounds the first solve from above (see :meth:`_warm_bound`
         for the exact semantics — the optimum is never changed, though
@@ -653,11 +656,9 @@ class _Program:
                 tolerance = (mip_rel_gap * abs(best_cost)
                              + 1e-7 * (1.0 + abs(best_cost)))
                 binaries = len(self.indexes)
-                # the phase-1 selection is feasible for phase 2 at its
-                # own cardinality, so a sum(d) <= |phase-1 schema| cut
-                # is sound and substantially narrows the search
-                cardinality = float(
-                    (result.x[:binaries] > 0.5).sum())
+                selection = result.x[:binaries] > 0.5
+                # phase 1's selection is feasible for phase 2, so
+                # sum(d) <= |selection| is a sound cut that narrows it
                 row = len(self._lower)
                 entries = [(row, column, value)
                            for column, value in enumerate(self.costs)
@@ -667,25 +668,22 @@ class _Program:
                 constraint = self._matrix(
                     extra_entries=entries,
                     extra_bounds=[(-np.inf, best_cost + tolerance),
-                                  (-np.inf, cardinality)])
-                objective = [0.0] * self.columns
-                for column in range(binaries):
-                    objective[column] = 1.0
+                                  (-np.inf, float(selection.sum()))])
+                objective = np.zeros(self.columns)
+                objective[:binaries] = 1.0
                 # the second solve only shrinks the schema at equal
-                # cost — it must never dominate the runtime, so its
-                # budget matches the phase-1 solve (floor 1s, cap 30s;
-                # the old fixed 30s wall routinely timed out having
-                # improved nothing) and its gap is loose (the objective
-                # is a small integer count); on failure or timeout the
-                # phase-1 solution is kept and _extract prunes unused
-                # column families
+                # cost, so it must never dominate the runtime: its
+                # budget matches the phase-1 solve (floor 1s, cap 30s)
+                # and its gap is loose (the objective is a small integer
+                # count); on failure or timeout the phase-1 solution is
+                # kept and _extract prunes unused column families
                 phase2_options = {
                     "mip_rel_gap": max(mip_rel_gap, 0.02),
-                    "time_limit": min(
-                        time_limit, 30.0,
-                        max(1.0, phase1_seconds)),
+                    "time_limit": min(time_limit, 30.0,
+                                      max(1.0, phase1_seconds)),
                 }
-                bounds = self._phase2_bounds(best_cost, tolerance)
+                bounds = self._phase2_bounds(selection, best_cost,
+                                             tolerance)
                 phase2_started = time.perf_counter()
                 # only a finished phase 2 replaces the phase-1 solution:
                 # the incumbent a time limit leaves depends on how far

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Advisor
 from repro.cost import CassandraCostModel
 from repro.exceptions import OptimizationError
 from repro.indexes import Index, entity_fetch_index
@@ -11,6 +12,7 @@ from repro.optimizer import (
     OptimizationProblem,
 )
 from repro.planner import QueryPlanner, UpdatePlanner
+from repro.randgen import random_model, random_workload
 from repro.workload import parse_statement
 
 
@@ -211,6 +213,20 @@ def test_phase2_budget_proportional_to_phase1(hotel, pool, statements):
     # a sub-second phase 1 must clamp phase 2 to the 1s floor
     assert gauges["bip.phase2_time_limit"] == pytest.approx(1.0)
     assert gauges["bip.phase2_seconds"] < 1.5
+
+
+def test_phase2_finishes_and_shrinks_a_randgen_schema():
+    """Phase 2 searches phase 1's selection plus the cost-free column
+    families: on this workload it finishes and drops column families
+    phase 1 used, at the same reported cost."""
+    model = random_model(entities=6, seed=0)
+    workload = random_workload(model, 12, 4, 2, seed=0)
+    phase1 = Advisor(model, optimizer=BIPOptimizer(
+        minimize_schema_size=False)).recommend(workload)
+    smallest = Advisor(model).recommend(workload)
+    assert smallest.timing.phase2_outcome == "finished"
+    assert len(smallest.indexes) < len(phase1.indexes)
+    assert smallest.total_cost == phase1.total_cost
 
 
 def test_brute_force_size_guard(hotel, pool, statements):

@@ -5,11 +5,14 @@ and every schema is scored by ``OptimizationProblem.evaluate``.  On
 small random instances the one-window program must match exhaustive
 search, a one-window schedule with free migrations must match the
 single-schema advisor, ``W`` identical windows must cost ``W`` times
-one, and ``evaluate`` must agree with the recommendation it scores.
+one, ``evaluate`` must agree with the recommendation it scores, and
+phase 2 must only shrink phase 1's schema within its cost cap.
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Advisor
@@ -18,6 +21,7 @@ from repro.optimizer import (
     BruteForceOptimizer,
     OptimizationProblem,
 )
+from repro.optimizer import bip
 from repro.optimizer.bip import solve_schedule
 from repro.randgen import random_model, random_workload
 from repro.tools import MigrationCostModel
@@ -35,13 +39,16 @@ SETTINGS = settings(max_examples=6, deadline=None,
                                            HealthCheck.data_too_large])
 
 
-@st.composite
-def instances(draw):
-    seed = draw(st.integers(0, 30))
+def instance_of(seed):
     model = random_model(entities=4, seed=seed)
     workload = random_workload(model, queries=3, updates=1, inserts=1,
                                seed=seed)
     return model, workload
+
+
+@st.composite
+def instances(draw):
+    return instance_of(draw(st.integers(0, 30)))
 
 
 def advisor(model):
@@ -65,17 +72,23 @@ def solved(model, workload):
     return nose, recommendation, problem
 
 
-@SETTINGS
-@given(instance=instances())
-def test_one_window_program_matches_brute_force(instance, restricted):
-    model, workload = instance
-    _nose, recommendation, problem = solved(model, workload)
+def brute_forceable(instance, restricted):
+    """The solved problem over at most ``BRUTE_KEYS`` candidates, the
+    recommended ones first, or None when its closure is larger."""
+    _nose, recommendation, problem = solved(*instance)
     chosen = [index.key for index in recommendation.indexes]
     others = sorted(index.key for index in problem.indexes
                     if index.key not in chosen)
     small = restricted(problem,
                        chosen + others[:max(BRUTE_KEYS - len(chosen), 0)])
-    if len(small.indexes) > BRUTE_KEYS:
+    return small if len(small.indexes) <= BRUTE_KEYS else None
+
+
+@SETTINGS
+@given(instance=instances())
+def test_one_window_program_matches_brute_force(instance, restricted):
+    small = brute_forceable(instance, restricted)
+    if small is None:
         return
     brute = BruteForceOptimizer(max_indexes=BRUTE_KEYS).solve(small)
     single = BIPOptimizer(mip_rel_gap=GAP).solve(small)
@@ -141,3 +154,42 @@ def test_evaluate_scores_the_recommendation(instance):
     over = OptimizationProblem(problem.query_plans, problem.update_plans,
                                problem.weights, space_limit=size - 1.0)
     assert over.evaluate(keys) is None
+
+
+@SETTINGS
+@given(instance=instances())
+# seeds on which phase 2 drops a column family phase 1 used
+@example(instance=instance_of(20))
+@example(instance=instance_of(26))
+def test_phase2_shrinks_the_phase1_schema(instance, restricted):
+    small = brute_forceable(instance, restricted)
+    if small is None:
+        return
+    brute = BruteForceOptimizer(max_indexes=BRUTE_KEYS).solve(small)
+    phase1 = BIPOptimizer(minimize_schema_size=False,
+                          mip_rel_gap=GAP).solve(small)
+    optimizer = BIPOptimizer(mip_rel_gap=GAP)
+    program = optimizer.prepare(small)
+    solves = []
+    solve = bip.milp
+
+    def milp(**kwargs):
+        solves.append(solve(**kwargs))
+        return solves[-1]
+
+    with mock.patch.object(bip, "milp", milp):
+        smallest = optimizer.optimize(program)
+    assert program.phase2_outcome == "finished"
+    # phase 2 opens only what phase 1 selected or what costs nothing
+    held = {index.key for column, index in enumerate(program.indexes)
+            if solves[0].x[column] > 0.5 or program.costs[column] == 0.0}
+    keys = {index.key for index in smallest.indexes}
+    assert keys <= held
+    assert len(keys) <= len(phase1.indexes)
+    # within the phase-2 cost cap of phase 1, itself within the MIP gap
+    # of the exhaustive optimum
+    best = smallest.total_cost
+    assert best == pytest.approx(brute.total_cost, rel=2 * GAP, abs=1e-9)
+    cap = best + GAP * abs(best) + 1e-7 * (1.0 + abs(best))
+    cost, _queries, _updates = small.evaluate(keys)
+    assert brute.total_cost - 1e-9 <= cost <= cap
