@@ -29,7 +29,7 @@ from repro.cost import CassandraCostModel
 from repro.enumerator import CandidateEnumerator
 from repro.enumerator.support import modifies
 from repro.exceptions import TruncationWarning
-from repro.explain import ExplainData, prune_entry, prune_record
+from repro.explain import ExplainData, prune_record
 from repro.optimizer import BIPOptimizer, OptimizationProblem
 from repro.optimizer.results import SchemaRecommendation
 from repro.parallel import parallel_map
@@ -53,7 +53,7 @@ __all__ = [
 logger = logging.getLogger("repro.advisor")
 
 
-def prune_plan_space(plans, keep=None, removals=None):
+def prune_plan_space(plans, removals=None):
     """Dominance-prune one statement's plan space for the optimizer.
 
     Keeps the cheapest plan per distinct column-family set
@@ -64,24 +64,22 @@ def prune_plan_space(plans, keep=None, removals=None):
     the superset plan appears in no optimal solution — the argument
     holds under a space limit and for the schema-minimising second
     solve as well.  This typically halves the BIP's plan columns.
-    ``keep`` caps the result (cheapest first) after both rules.
+    Nothing else is dropped: a plan dearer on its own can still be the
+    cheapest once the column families it reads are shared, so the
+    optimizer sees every plan these rules keep.
     ``removals`` receives one pruning-ledger entry per dropped plan.
     """
     plans = list(plans)
     pruned = dominance.dedupe_cheapest(plans, removals=removals)
     kept = dominance.superset_filter(pruned, removals=removals)
-    capped = kept if keep is None else kept[:keep]
-    if removals is not None and keep is not None:
-        removals.extend(prune_entry(plan, "cap") for plan in kept[keep:])
     active = telemetry.current()
     if active.enabled:
         active.count("prune.plans_in", len(plans))
         active.count("prune.removed_duplicate_cfset",
                       len(plans) - len(pruned))
         active.count("prune.removed_superset", len(pruned) - len(kept))
-        active.count("prune.removed_cap", len(kept) - len(capped))
-        active.count("prune.plans_out", len(capped))
-    return capped
+        active.count("prune.plans_out", len(kept))
+    return kept
 
 
 @dataclass
@@ -323,18 +321,13 @@ class Advisor:
     """
 
     def __init__(self, model, cost_model=None, enumerator=None,
-                 optimizer=None, max_plans=500, prune_to=32,
-                 support_prune_to=8, cache_size=8,
+                 optimizer=None, max_plans=500, cache_size=8,
                  artifact_cache_size=4096):
         self.model = model
         self.cost_model = cost_model or CassandraCostModel()
         self.enumerator = enumerator or CandidateEnumerator(model)
         self.optimizer = optimizer or BIPOptimizer()
         self.max_plans = max_plans
-        #: plans kept per query after dominance pruning (None = all)
-        self.prune_to = prune_to
-        #: plans kept per support query (their spaces are much denser)
-        self.support_prune_to = support_prune_to
         #: prepared workloads kept (FIFO-evicted), keyed by structure
         self.cache_size = cache_size
         self._prepared = {}
@@ -750,7 +743,7 @@ class Advisor:
     @staticmethod
     def _pruned_hit(artifact, pruned_key):
         """True when an artifact already carries pruning results for
-        this (cost model, cap) configuration."""
+        this cost model."""
         return artifact is not None and artifact.pruned_key == pruned_key
 
     def _prune_prepared(self, prepared, timing):
@@ -763,17 +756,16 @@ class Advisor:
         with active.span("pruning"):
             stage = time.perf_counter()
             ledger = prepared._prune_ledger
-            # pruned results are a pure function of costed plans and
-            # the cap, so artifacts costed+pruned under the same model
-            # and cap serve their pruned plans and ledger records as-is.
-            query_key = (id(self.cost_model), self.prune_to)
+            # pruned results are a pure function of costed plans, so
+            # artifacts costed+pruned under the same model serve their
+            # pruned plans and ledger records as-is.
+            pruned_key = id(self.cost_model)
             reused_prunes = 0
 
             def prune_query(item):
                 query, plans = item
                 removals = []
-                kept = prune_plan_space(plans, self.prune_to,
-                                        removals=removals)
+                kept = prune_plan_space(plans, removals=removals)
                 return kept, prune_record(query, len(plans), len(kept),
                                           removals)
 
@@ -784,7 +776,7 @@ class Advisor:
             pending = {}
             for query, plans in prepared.query_plans.items():
                 artifact = prepared.plan_artifacts.get(query)
-                hit = self._pruned_hit(artifact, query_key)
+                hit = self._pruned_hit(artifact, pruned_key)
                 query_items.append((query, plans, artifact, hit))
                 if not hit:
                     pending.setdefault(id(plans), (query, plans))
@@ -800,12 +792,11 @@ class Advisor:
                     if artifact is not None:
                         artifact.pruned = kept
                         artifact.record = record
-                        artifact.pruned_key = query_key
+                        artifact.pruned_key = pruned_key
                 pruned_query_plans[query] = kept
                 label = query.label or str(query)
                 ledger[label] = _own_record(record, label)
             prepared._pruned_query_plans = pruned_query_plans
-            support_key = (id(self.cost_model), self.support_prune_to)
 
             def prune_update(update_plan):
                 records = {}
@@ -820,7 +811,7 @@ class Advisor:
                 rows = []
                 for position, update_plan in enumerate(plans):
                     artifact = pairs[position] if pairs else None
-                    hit = self._pruned_hit(artifact, support_key)
+                    hit = self._pruned_hit(artifact, pruned_key)
                     rows.append((update_plan, artifact, hit))
                     if not hit:
                         pending.setdefault(id(update_plan), update_plan)
@@ -840,7 +831,7 @@ class Advisor:
                         if artifact is not None:
                             artifact.pruned = pruned_plan
                             artifact.records = dict(records)
-                            artifact.pruned_key = support_key
+                            artifact.pruned_key = pruned_key
                     pruned_plans.append(pruned_plan)
                     if update is not pruned_plan.update:
                         records = _own_records(records, pruned_plan,
@@ -938,8 +929,7 @@ class Advisor:
         pruned = []
         for query, plans in update_plan.support_plans_by_query.items():
             removals = [] if ledger is not None else None
-            kept = prune_plan_space(plans, self.support_prune_to,
-                                    removals=removals)
+            kept = prune_plan_space(plans, removals=removals)
             pruned.extend(kept)
             if ledger is not None:
                 label = query.label or str(query)

@@ -19,7 +19,7 @@ serialize into the explain document unchanged.
 from __future__ import annotations
 
 #: rules of :func:`repro.advisor.prune_plan_space`, in application order
-PRUNE_RULES = ("duplicate-cfset", "superset-cfset", "cap")
+PRUNE_RULES = ("duplicate-cfset", "superset-cfset")
 
 #: candidate selection statuses in the solver ledger
 INDEX_STATUSES = ("chosen", "selected-unused", "rejected")
@@ -54,17 +54,35 @@ def prune_record(statement, considered, kept, removed):
     }
 
 
-def solver_ledger(problem, chosen_keys, selected_keys, query_plans,
-                  plan_columns, costs=None):
+def _statement_record(plans, chosen):
+    """A statement's solver-ledger record: its plan count, chosen plan
+    and best rejected plan."""
+    record = {
+        "alternatives_in_solver": len(plans),
+        "chosen_cost": chosen.cost if chosen is not None else None,
+        "chosen_signature": (chosen.signature
+                             if chosen is not None else None),
+    }
+    rejected = [plan for plan in plans if plan is not chosen]
+    if rejected:
+        best = min(rejected, key=lambda plan: (plan.cost, plan.signature))
+        record["best_rejected_cost"] = best.cost
+        record["best_rejected_signature"] = best.signature
+    else:
+        record["best_rejected_cost"] = None
+        record["best_rejected_signature"] = None
+    return record
+
+
+def solver_ledger(problem, chosen_keys, selected_keys, query_plans):
     """Build the BIP's decision ledger from an extracted solution.
 
     ``chosen_keys`` are the column families in the final schema,
     ``selected_keys`` everything the solver set to 1 (a superset —
     cost-free selections the extraction pruned are "selected-unused").
-    ``query_plans`` maps each workload query to its chosen plan and
-    ``plan_columns`` is the program's ``(query, plan, column)`` listing,
-    from which per-statement alternatives and the best rejected plan
-    cost are derived.
+    ``query_plans`` maps each workload query to its chosen plan; the
+    problem's plan spaces, which the solver saw, give per-statement
+    alternatives and the best rejected plan cost.
     """
     space_limited = problem.space_limit is not None
     indexes = {}
@@ -81,29 +99,18 @@ def solver_ledger(problem, chosen_keys, selected_keys, query_plans,
             record["reason"] = reason
         indexes[index.key] = record
 
-    grouped = {}
-    for query, plan, _column in plan_columns:
-        grouped.setdefault(query, []).append(plan)
+    # the statements of a signature class share their plan list and
+    # their chosen plan, so one record serves the whole class
+    shared = {}
     statements = {}
-    for query, plans in grouped.items():
+    for query, plans in problem.query_plans.items():
         chosen = query_plans.get(query)
+        record = shared.get((id(plans), id(chosen)))
+        if record is None:
+            record = shared[id(plans), id(chosen)] = _statement_record(
+                plans, chosen)
         label = getattr(query, "label", None) or str(query)
-        record = {
-            "alternatives_in_solver": len(plans),
-            "chosen_cost": chosen.cost if chosen is not None else None,
-            "chosen_signature": (chosen.signature
-                                 if chosen is not None else None),
-        }
-        rejected = [plan for plan in plans if plan is not chosen]
-        if rejected:
-            best = min(rejected,
-                       key=lambda plan: (plan.cost, plan.signature))
-            record["best_rejected_cost"] = best.cost
-            record["best_rejected_signature"] = best.signature
-        else:
-            record["best_rejected_cost"] = None
-            record["best_rejected_signature"] = None
-        statements[label] = record
+        statements[label] = dict(record)
 
     return {
         "space_limit": problem.space_limit,

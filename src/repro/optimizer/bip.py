@@ -102,14 +102,15 @@ class _Program:
             creation = [model.index_cost(index) for index in self.indexes]
             self.costs.extend(creation * len(problems))
             self.columns += self.binaries
-        #: (query, plan, column) for workload query plans; the members
-        #: of a signature class share their representative's columns
-        self.plan_columns = []
-        #: (update, update_plan, support query, plan, column), shared
-        #: the same way
-        self.support_columns = []
-        #: plan columns of each choose-one row, one list per query class
-        self.query_groups = []
+        #: ``(members, plans, columns)`` per query signature class: the
+        #: class's queries, their shared plan list and its choose-one
+        #: row's plan columns
+        self.query_classes = []
+        #: ``(members, gates)`` per update signature class, with
+        #: ``gates`` the class's entries of :attr:`gates`
+        self.update_classes = []
+        #: ``(selection column, plan columns, plans)`` per support gate
+        self.gates = []
         #: statement signature classes the program solves: query plus
         #: update classes (statements sharing their plan objects)
         self.statement_classes = 0
@@ -129,6 +130,9 @@ class _Program:
         self._entry_arrays = None
         self._integrality = None
         self._unit_bounds = None
+        #: per choose-one row and gate, the bitmask of column families
+        #: each plan column reads (see :meth:`_phase1_bounds`)
+        self._phase1_structure = None
         #: lazily built index arrays for vectorized reweighting
         self._reweight_arrays = None
         #: wall-clock seconds of the last optimize(), split so the
@@ -179,9 +183,10 @@ class _Program:
         self.indexes = previous.indexes
         self.index_column = previous.index_column
         self.columns = previous.columns
-        self.plan_columns = list(previous.plan_columns)
-        self.support_columns = list(previous.support_columns)
-        self.query_groups = previous.query_groups
+        self.query_classes = previous.query_classes
+        self.update_classes = previous.update_classes
+        self.gates = previous.gates
+        self._phase1_structure = previous._phase1_structure
         self.statement_classes = previous.statement_classes
         self._entries = previous._entries[:previous._structure_entries]
         self._lower = previous._lower[:previous._structure_rows]
@@ -228,16 +233,14 @@ class _Program:
         weights: one choose-one row (or one set of support gates) with
         the summed weights has the same optimum as one per statement.
         The first statement of a class builds the rows and columns; each
-        member adds its weighted costs to them and lists its own
-        ``(statement, plan, column)`` entries.  ``offset`` locates the
-        window's selection columns.
+        member adds its weighted costs to them and joins the class's
+        member list.  ``offset`` locates the window's selection columns.
         """
         query_classes = {}
         for query, plans in problem.query_plans.items():
-            weight = problem.weight(query)
             key = tuple(map(id, plans))
-            columns = query_classes.get(key)
-            if columns is None:
+            entry = query_classes.get(key)
+            if entry is None:
                 choose_one = self._new_row(1.0, 1.0)
                 links = {}
                 columns = []
@@ -246,49 +249,58 @@ class _Program:
                     columns.append(column)
                     self._entries.append((choose_one, column, 1.0))
                     self._link_plan(column, plan, links, offset)
-                query_classes[key] = columns
-                self.query_groups.append(columns)
+                entry = query_classes[key] = ([], plans, columns)
+                self.query_classes.append(entry)
+            entry[0].append(query)
+        for members, plans, columns in query_classes.values():
+            # summed in member order, as reweight() sums
+            weight = sum(map(problem.weight, members))
             for plan, column in zip(plans, columns):
                 self.costs[column] += weight * plan.cost
-                self.plan_columns.append((query, plan, column))
         update_classes = {}
         for update, update_plans in problem.update_plans.items():
             if not update_plans:
                 continue
             weight = problem.weight(update)
             key = tuple(map(id, update_plans))
-            supports = update_classes.get(key)
-            if supports is None:
-                supports = update_classes[key] = self._build_gates(
-                    update_plans, offset)
+            entry = update_classes.get(key)
+            if entry is None:
+                entry = update_classes[key] = (
+                    [], self._build_gates(update_plans, offset))
+                self.update_classes.append(entry)
+            entry[0].append(update)
             for update_plan in update_plans:
                 selection = offset + self.index_column[
                     update_plan.index.key]
                 self.costs[selection] += weight * update_plan.update_cost
-            for update_plan, support, plan, column in supports:
-                self.costs[column] += weight * plan.cost
-                self.support_columns.append(
-                    (update, update_plan, support, plan, column))
+        for members, gates in update_classes.values():
+            weight = sum(map(problem.weight, members))
+            for _selection, columns, plans in gates:
+                for plan, column in zip(plans, columns):
+                    self.costs[column] += weight * plan.cost
         self.statement_classes += len(query_classes) + len(update_classes)
 
     def _build_gates(self, update_plans, offset):
         """Support gates and plan columns of one update class; returns
-        its ``(update_plan, support, plan, column)`` listing."""
-        supports = []
+        its entries of :attr:`gates`."""
+        gates = []
         for update_plan in update_plans:
             selection = offset + self.index_column[update_plan.index.key]
             grouped = update_plan.support_plans_by_query
-            for support, plans in grouped.items():
+            for plans in grouped.values():
                 # one support plan iff the column family is selected
                 gate = self._new_row(0.0, 0.0)
                 self._entries.append((gate, selection, -1.0))
                 links = {}
+                columns = []
                 for plan in plans:
                     column = self._new_column(0.0)
-                    supports.append((update_plan, support, plan, column))
+                    columns.append(column)
                     self._entries.append((gate, column, 1.0))
                     self._link_plan(column, plan, links, offset)
-        return supports
+                gates.append((selection, columns, plans))
+        self.gates.extend(gates)
+        return gates
 
     def _link_plan(self, column, plan, links, offset):
         """Plan usable only when every column family it touches exists.
@@ -330,14 +342,15 @@ class _Program:
     def _reweight_cache(self):
         """Index arrays mapping statements to their cost-vector slots.
 
-        Built once per program: a list of distinct statements, and for
-        each cost contribution (query plan columns, support plan
-        columns, per-column-family maintenance terms) an integer column
-        array, a base-cost array and a statement-position array.  A
-        weight change then reduces to gathers and one scatter-add over
-        these arrays instead of a Python loop over every plan column.
-        Plan base costs are stable for the program's lifetime — the
-        advisor rebuilds programs whenever the cost model re-costs.
+        Built once per program: a list of distinct statements, the
+        statement positions of each signature class's members, and for
+        each cost contribution an integer column array, a base-cost
+        array and an owner array — the class for plan columns, the
+        statement for per-column-family maintenance terms.  A weight
+        change then reduces to gathers and scatter-adds over these
+        arrays instead of a Python loop over every plan column.  Plan
+        base costs are stable for the program's lifetime — the advisor
+        rebuilds programs whenever the cost model re-costs.
         """
         if self._reweight_arrays is None:
             statements = []
@@ -350,27 +363,38 @@ class _Program:
                     statements.append(statement)
                 return slot
 
-            plan_data = np.array(
-                [(column, plan.cost, position(query))
-                 for query, plan, column in self.plan_columns],
-                dtype=float).reshape(-1, 3)
-            maintenance_data = np.array(
-                [(self.index_column[update_plan.index.key],
-                  update_plan.update_cost, position(update))
-                 for update, update_plans
-                 in self.problem.update_plans.items()
-                 for update_plan in update_plans],
-                dtype=float).reshape(-1, 3)
-            support_data = np.array(
-                [(column, plan.cost, position(update))
-                 for update, _update_plan, _support, plan, column
-                 in self.support_columns],
-                dtype=float).reshape(-1, 3)
-            self._reweight_arrays = (statements, [
-                (data[:, 0].astype(np.intp), data[:, 1],
-                 data[:, 2].astype(np.intp))
-                for data in (plan_data, maintenance_data,
-                             support_data)])
+            members = []  # (class, statement position) per member
+            plan_data = []
+
+            def add_class(group, plans, columns):
+                slot = len(classes)
+                classes.append(group)
+                members.extend((slot, position(statement))
+                               for statement in group)
+                plan_data.extend((column, plan.cost, slot)
+                                 for plan, column in zip(plans, columns))
+
+            classes = []
+            for group, plans, columns in self.query_classes:
+                add_class(group, plans, columns)
+            for group, gates in self.update_classes:
+                add_class(group,
+                          [plan for *_, plans in gates for plan in plans],
+                          [column for _, columns, _ in gates
+                           for column in columns])
+            maintenance_data = [
+                (self.index_column[update_plan.index.key],
+                 update_plan.update_cost, position(update))
+                for update, update_plans
+                in self.problem.update_plans.items()
+                for update_plan in update_plans]
+            members = np.array(members, dtype=np.intp).reshape(-1, 2)
+            self._reweight_arrays = (
+                statements, len(classes), members[:, 0], members[:, 1],
+                [(data[:, 0].astype(np.intp), data[:, 1],
+                  data[:, 2].astype(np.intp))
+                 for data in (np.array(plan_data).reshape(-1, 3),
+                              np.array(maintenance_data).reshape(-1, 3))])
         return self._reweight_arrays
 
     def reweight(self, weights):
@@ -383,15 +407,18 @@ class _Program:
         """
         problem = self.problem
         problem.set_weights(weights)
-        statements, groups = self._reweight_cache()
+        statements, classes, member_class, member_position, \
+            (plans, maintenance) = self._reweight_cache()
         by_statement = np.array([problem.weight(statement)
                                  for statement in statements])
+        # members of a class share columns: (Σ weight) * cost
+        by_class = np.zeros(classes)
+        np.add.at(by_class, member_class, by_statement[member_position])
         costs = np.zeros(self.columns)
-        for columns, base_costs, stmt_positions in groups:
+        for (columns, base_costs, owners), weight in (
+                (plans, by_class), (maintenance, by_statement)):
             if len(columns):
-                # members of a class share columns: Σ weight * cost
-                np.add.at(costs, columns,
-                          by_statement[stmt_positions] * base_costs)
+                np.add.at(costs, columns, weight[owners] * base_costs)
         self.costs = costs.tolist()
 
     # -- solving --------------------------------------------------------------
@@ -445,19 +472,130 @@ class _Program:
             if self._unit_bounds is None:
                 self._unit_bounds = Bounds(0, 1)
             bounds = self._unit_bounds
-        result = milp(
-            c=np.asarray(objective),
-            constraints=constraints,
-            integrality=integrality,
-            bounds=bounds,
-            options=options or {},
-        )
+        objective = np.asarray(objective, dtype=float)
+        # columns fixed at zero are left out: scipy's HiGHS wrapper
+        # spends Python time per column, and the solution gets them
+        # back as zeros
+        upper = np.broadcast_to(bounds.ub, (self.columns,))
+        live = np.flatnonzero(upper > 0.0)
+        sliced = 0 < len(live) < self.columns
+        if sliced:
+            lower = np.broadcast_to(bounds.lb, (self.columns,))
+            objective = objective[live]
+            constraints = [LinearConstraint(
+                csr_matrix(constraint.A)[:, live], constraint.lb,
+                constraint.ub) for constraint in constraints]
+            integrality = np.asarray(integrality)[live]
+            bounds = Bounds(lower[live], upper[live])
+        result = milp(c=objective, constraints=constraints,
+                      integrality=integrality, bounds=bounds,
+                      options=options or {})
+        if sliced and result.x is not None:
+            x = np.zeros(self.columns)
+            x[live] = result.x
+            result.x = x
         acceptable = result.success or (result.status == 1
                                         and result.x is not None)
         if check and not acceptable:
             raise OptimizationError(
                 f"BIP solve failed: {result.message}")
         return result
+
+    def _phase1_rows(self):
+        """Per choose-one row and support gate, the gate's selection
+        column (None for a choose-one row), its plan columns, the
+        bitmask of the selection columns each plan reads and the union
+        of those masks.  Weight independent, so built once per
+        program."""
+        if self._phase1_structure is None:
+            rows = [(None, columns, plans)
+                    for _members, plans, columns in self.query_classes]
+            rows.extend(self.gates)
+            structure = []
+            for selection, columns, plans in rows:
+                masks = []
+                union = 0
+                for plan in plans:
+                    bits = 0
+                    for index in plan.indexes:
+                        bits |= 1 << self.index_column[index.key]
+                    masks.append(bits)
+                    union |= bits
+                structure.append((selection, columns, masks, union))
+            self._phase1_structure = structure
+        return self._phase1_structure
+
+    def _free_mask(self, costs):
+        """Bitmask of the *free* column families: those whose
+        selection costs nothing and each of whose support gates has a
+        zero-cost plan over free column families — the greatest such
+        set.  Holding all of them together adds nothing to any
+        solution's cost."""
+        binaries = len(self.indexes)
+        free = 0
+        for column in np.flatnonzero(costs[:binaries] == 0.0):
+            free |= 1 << int(column)
+        gates = [(selection, [bits for column, bits in zip(columns, masks)
+                              if costs[column] == 0.0])
+                 for selection, columns, masks, _union
+                 in self._phase1_rows() if selection is not None]
+        changed = True
+        while changed:
+            changed = False
+            for selection, cheap in gates:
+                if free >> selection & 1 and not any(
+                        bits & ~free == 0 for bits in cheap):
+                    free &= ~(1 << selection)
+                    changed = True
+        return free
+
+    def _phase1_bounds(self):
+        """Variable fixing for the cost-minimising solve, or None.
+
+        Holding every free column family (:meth:`_free_mask`) costs
+        nothing, so some optimum holds them all.  There, a plan column
+        is never needed when a sibling in its choose-one row or gate
+        costs no more and reads, beyond the plan's own column families,
+        only free ones: shifting the plan's weight to that sibling
+        keeps every row satisfied and costs no more.  Each such column
+        is fixed to zero; siblings are ranked by (cost, column), and
+        since the relation is transitive the least-ranked sibling of
+        every fixed column stays unfixed.  On read-only mixes every
+        column family is free and each query keeps only its cheapest
+        plans.  Only the single-schema program without a space limit
+        qualifies: a space limit charges the free column families, and
+        migration costs charge the windowed program's.
+        """
+        if self.migration is not None or len(self.problems) > 1 \
+                or self.problem.space_limit is not None:
+            return None
+        costs = np.asarray(self.costs, dtype=float)
+        free = self._free_mask(costs)
+        if not free:
+            return None
+        fixed = np.zeros(self.columns, dtype=bool)
+        for _selection, columns, masks, union in self._phase1_rows():
+            if not union & free:
+                # dominance pruning already dropped every plan a
+                # cheaper sibling with a subset of its column families
+                # beats
+                continue
+            ranked = sorted(zip(costs[columns].tolist(), columns, masks))
+            kept = []
+            for _cost, column, bits in ranked:
+                needed = bits & ~free
+                if any(other & ~needed == 0 for other in kept):
+                    fixed[column] = True
+                else:
+                    kept.append(needed)
+        active = telemetry.current()
+        if active.enabled:
+            active.gauge("bip.phase1_fixed_columns", int(fixed.sum()))
+        if not fixed.any():
+            return None
+        upper = np.ones(self.columns)
+        upper[fixed] = 0.0
+        return Bounds(0, upper)
 
     def _phase2_bounds(self, selection, best_cost, tolerance):
         """Variable fixing for the schema-minimisation solve.
@@ -486,15 +624,15 @@ class _Program:
             # are computed ignoring which column families exist
             margins = np.full(self.columns, -np.inf)
             lower_bound = 0.0
-            for group in self.query_groups:
+            for _members, _plans, group in self.query_classes:
                 group_costs = costs[group]
                 group_min = float(group_costs.min())
                 lower_bound += group_min
                 margins[group] = group_costs - group_min
-            for *_, column in self.support_columns:
+            for _selection, gate, _plans in self.gates:
                 # support plans cost nothing when their gate is closed,
                 # so their margin is the full column cost
-                margins[column] = costs[column]
+                margins[gate] = costs[gate]
             fixed |= margins > best_cost + tolerance - lower_bound
         active = telemetry.current()
         if active.enabled:
@@ -541,7 +679,7 @@ class _Program:
                             extra_bounds=[(-np.inf, bound)])
 
     def _solve_gated(self, constraint, options, cost_vector, gate_gap,
-                     warm_keys):
+                     warm_keys, fixing):
         """LP-relaxation gate for large programs (lazy activation).
 
         Solves the LP relaxation first, then a restricted MILP with
@@ -555,13 +693,17 @@ class _Program:
         within ``gate_gap`` of the LP lower bound — a certificate that
         no excluded column family can improve the solution by more
         than the gap — and otherwise the full MILP runs with the
-        restricted solution as an incumbent cost cut.
+        restricted solution as an incumbent cost cut; if that solve
+        stops without a solution, the restricted one stands.  Every
+        solve keeps the columns ``fixing`` (:meth:`_phase1_bounds`, or
+        None) fixes: they keep the optimum, so the LP bound stays valid.
         """
         active = telemetry.current()
         if active.enabled:
             active.count("bip.lp_gate_used")
         binaries = len(self.indexes)
         relaxed = self._solve(self.costs, [constraint], options,
+                              bounds=fixing,
                               integrality=np.zeros(self.columns))
         lp_bound = float(cost_vector @ relaxed.x)
         support = relaxed.x[:binaries] > 1e-9
@@ -569,7 +711,8 @@ class _Program:
             column = self.index_column.get(key)
             if column is not None:
                 support[column] = True
-        upper = np.ones(self.columns)
+        upper = (np.ones(self.columns) if fixing is None
+                 else np.array(fixing.ub, dtype=float))
         upper[:binaries][~support] = 0.0
         restricted = self._solve(self.costs, [constraint], options,
                                  bounds=Bounds(0, upper))
@@ -592,7 +735,11 @@ class _Program:
         if active.enabled:
             active.count("bip.lp_gate_fallbacks")
         result = self._solve(self.costs, [self._cost_cut(best_cost)],
-                             options)
+                             options, bounds=fixing, check=False)
+        if result.x is None:
+            # stopped (say by the time limit) before finding a solution
+            # under the cut
+            return restricted, best_cost
         return result, float(cost_vector @ result.x)
 
     def optimize(self, minimize_schema_size=True, mip_rel_gap=1e-4,
@@ -603,11 +750,13 @@ class _Program:
         ``mip_rel_gap`` and ``time_limit`` bound the branch-and-bound
         effort; with a time limit the incumbent solution is returned
         (still feasible, within the reported gap of optimal).  The
-        second solve minimises the column-family count at the first's
-        cost plus its gap, over the first's selection plus the column
-        families no update maintains (:meth:`_phase2_bounds`); its
-        solution is used only when that solve finishes, otherwise the
-        first's is kept (``phase2_outcome`` says which).
+        first solve runs with the plan columns :meth:`_phase1_bounds`
+        fixes, which keeps its optimum.  The second solve minimises the
+        column-family count at the first's cost plus its gap, over the
+        first's selection plus the column families no update maintains
+        (:meth:`_phase2_bounds`); its solution is used only when that
+        solve finishes, otherwise the first's is kept
+        (``phase2_outcome`` says which).
         ``warm_start`` optionally supplies a previous solution whose
         cost bounds the first solve from above (see :meth:`_warm_bound`
         for the exact semantics — the optimum is never changed, though
@@ -641,12 +790,14 @@ class _Program:
                 constraint = self._cost_cut(bound)
             gated = (lp_gate_columns is not None
                      and len(self.indexes) >= lp_gate_columns)
+            fixing = self._phase1_bounds()
             if gated:
                 result, best_cost = self._solve_gated(
                     constraint, options, cost_vector, lp_gate_gap,
-                    warm_keys)
+                    warm_keys, fixing)
             else:
-                result = self._solve(self.costs, [constraint], options)
+                result = self._solve(self.costs, [constraint], options,
+                                     bounds=fixing)
                 best_cost = float(cost_vector @ result.x)
             if minimize_schema_size:
                 phase1_seconds = time.perf_counter() - solve_started
@@ -657,18 +808,13 @@ class _Program:
                              + 1e-7 * (1.0 + abs(best_cost)))
                 binaries = len(self.indexes)
                 selection = result.x[:binaries] > 0.5
-                # phase 1's selection is feasible for phase 2, so
-                # sum(d) <= |selection| is a sound cut that narrows it
                 row = len(self._lower)
                 entries = [(row, column, value)
                            for column, value in enumerate(self.costs)
                            if value != 0.0]
-                entries.extend((row + 1, column, 1.0)
-                               for column in range(binaries))
                 constraint = self._matrix(
                     extra_entries=entries,
-                    extra_bounds=[(-np.inf, best_cost + tolerance),
-                                  (-np.inf, float(selection.sum()))])
+                    extra_bounds=[(-np.inf, best_cost + tolerance)])
                 objective = np.zeros(self.columns)
                 objective[:binaries] = 1.0
                 # the second solve only shrinks the schema at equal
@@ -760,8 +906,7 @@ class _Program:
         # the decision ledger: per-candidate selection status and, per
         # statement, the chosen plan next to the best rejected one
         recommendation.ledger = solver_ledger(
-            self.problem, chosen_keys, selected_keys, query_plans,
-            self.plan_columns)
+            self.problem, chosen_keys, selected_keys, query_plans)
         return recommendation
 
 

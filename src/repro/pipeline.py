@@ -63,9 +63,9 @@ class PlanArtifact:
     """One query's plan space plus its costed/pruned derivatives.
 
     ``pruned`` and ``record`` (the pruning-ledger record) are filled in
-    by the advisor the first time the space is pruned for a given
-    ``(cost model, prune_to)`` configuration — ``pruned_key`` — and
-    served from the artifact afterwards.
+    by the advisor the first time the space is pruned under a given
+    cost model — ``pruned_key`` — and served from the artifact
+    afterwards.
     """
 
     __slots__ = ("space", "pruned", "record", "pruned_key", "costed_by")

@@ -129,9 +129,10 @@ def test_extracted_plans_cost_no_more_than_the_solvers(hotel, hotel_twins,
     recommendation = Advisor(hotel).recommend(twins)
     ((program, x),) = solutions
     solver_cost = {}
-    for query, plan, column in program.plan_columns:
-        solver_cost[query] = solver_cost.get(query, 0.0) \
-            + x[column] * plan.cost
+    for members, plans, columns in program.query_classes:
+        for query in members:
+            solver_cost[query] = sum(x[column] * plan.cost
+                                     for plan, column in zip(plans, columns))
     for query, cost in solver_cost.items():
         chosen = recommendation.query_plans[query].cost
         assert chosen <= cost + 1e-9 * (1.0 + cost)

@@ -5,12 +5,14 @@ and every schema is scored by ``OptimizationProblem.evaluate``.  On
 small random instances the one-window program must match exhaustive
 search, a one-window schedule with free migrations must match the
 single-schema advisor, ``W`` identical windows must cost ``W`` times
-one, ``evaluate`` must agree with the recommendation it scores, and
-phase 2 must only shrink phase 1's schema within its cost cap.
+one, ``evaluate`` must agree with the recommendation it scores,
+phase 2 must only shrink phase 1's schema within its cost cap, and
+phase-1 fixing must keep the phase-1 optimum.
 """
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -52,7 +54,7 @@ def instances(draw):
 
 
 def advisor(model):
-    return Advisor(model, max_plans=40, prune_to=8, support_prune_to=4,
+    return Advisor(model, max_plans=40,
                    optimizer=BIPOptimizer(mip_rel_gap=GAP))
 
 
@@ -193,3 +195,58 @@ def test_phase2_shrinks_the_phase1_schema(instance, restricted):
     cap = best + GAP * abs(best) + 1e-7 * (1.0 + abs(best))
     cost, _queries, _updates = small.evaluate(keys)
     assert brute.total_cost - 1e-9 <= cost <= cap
+
+
+def phase1_cost(program, bounds):
+    result = program._solve(program.costs, [program._matrix()],
+                            {"mip_rel_gap": GAP, "time_limit": 60.0},
+                            bounds=bounds)
+    return float(np.asarray(program.costs) @ result.x)
+
+
+def write_heavy_instance(seed, idle):
+    """A randgen instance with more writes, and the weight of every
+    write whose label is in ``idle`` set to 0: such writes make the
+    column families they maintain free to hold, unless a support query
+    needs a column family a weighted write maintains."""
+    model = random_model(entities=5, seed=seed)
+    workload = random_workload(model, queries=4, updates=3, inserts=1,
+                               seed=seed)
+    weights = absolute_weights(workload)
+    for label in idle:
+        weights[label] = 0.0
+    return model, workload, weights
+
+
+@st.composite
+def write_heavy_instances(draw):
+    seed = draw(st.integers(0, 30))
+    idle = draw(st.sets(st.sampled_from(["u0", "u1", "u2", "i0"])))
+    return write_heavy_instance(seed, idle)
+
+
+@SETTINGS
+@given(instance=write_heavy_instances())
+# u2 idle: dropping the support-gate condition from the free set fixes
+# plans the optimum needs (12514.25 becomes 14720.17)
+@example(instance=write_heavy_instance(18, {"u2"}))
+def test_phase1_fixing_keeps_the_optimum(instance):
+    model, workload, weights = instance
+    nose = advisor(model)
+    prepared = nose.prepare(workload)
+    nose.recommend_prepared(prepared, weights=weights)
+    problem = OptimizationProblem(*nose.pruned_plans(prepared), weights)
+    program = bip._Program(problem)
+    assert phase1_cost(program, program._phase1_bounds()) \
+        == pytest.approx(phase1_cost(program, None), rel=2 * GAP,
+                         abs=1e-9)
+    # a space limit charges free column families, and so do the
+    # windowed program's migrations: neither fixes anything
+    size = sum(index.size for index in problem.indexes)
+    limited = bip._Program(OptimizationProblem(
+        problem.query_plans, problem.update_plans, weights,
+        space_limit=size))
+    assert limited._phase1_bounds() is None
+    windowed = bip._Program(problem, indexes=problem.indexes,
+                            migration=(FREE, frozenset()))
+    assert windowed._phase1_bounds() is None

@@ -61,7 +61,7 @@ def instances(draw):
 
 
 def advisor(model):
-    return Advisor(model, max_plans=40, prune_to=8, support_prune_to=4)
+    return Advisor(model, max_plans=40)
 
 
 @settings(max_examples=6, deadline=None,

@@ -127,11 +127,12 @@ def test_prune_entry_and_record_shapes():
     assert entry == {"plan": "L:a", "rule": "duplicate-cfset",
                      "dominated_by": "L:b"}
     record = prune_record("q1", considered=3, kept=1, removed=[
-        entry, prune_entry(_FakePlan("L:c"), "cap")])
+        entry, prune_entry(_FakePlan("L:c"), "superset-cfset")])
     assert record["statement"] == "q1"
     assert record["considered"] == 3
     assert record["kept"] == 1
-    assert record["removed_by_rule"] == {"duplicate-cfset": 1, "cap": 1}
+    assert record["removed_by_rule"] == {"duplicate-cfset": 1,
+                                         "superset-cfset": 1}
 
 
 def test_prune_entry_rejects_unknown_rule():
@@ -141,7 +142,7 @@ def test_prune_entry_rejects_unknown_rule():
 
 def test_known_rule_vocabularies():
     assert "combiner-merge" in RULES
-    assert "cap" in PRUNE_RULES
+    assert PRUNE_RULES == ("duplicate-cfset", "superset-cfset")
     assert set(INDEX_STATUSES) == {"chosen", "selected-unused",
                                    "rejected"}
 

@@ -321,8 +321,7 @@ def test_pipeline_metrics_are_consistent():
     # pruning never invents plans
     assert counters["prune.plans_out"] <= counters["prune.plans_in"]
     removed = (counters["prune.removed_duplicate_cfset"]
-               + counters["prune.removed_superset"]
-               + counters.get("prune.removed_cap", 0))
+               + counters["prune.removed_superset"])
     assert counters["prune.plans_in"] - removed \
         == counters["prune.plans_out"]
     # the candidate pool matches what the timing reports
