@@ -18,7 +18,6 @@ one-shot entry point as a thin wrapper over the two stages.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import time
 import warnings
@@ -119,12 +118,11 @@ class AdvisorTiming:
     #: statements actually re-enumerated/re-planned during prepare
     replanned_statements: int = 0
     #: statement signature classes the program solved (statements
-    #: sharing one plan space are solved once, with summed weight);
-    #: 0 when the optimizer does not report them
+    #: sharing one plan space are solved once, with summed weight)
     statement_classes: int = 0
     #: how the schema-minimising second solve ended: "finished",
     #: "time-limit" (phase-1 solution kept), "failed" or "skipped";
-    #: None when the optimizer does not report it
+    #: None until a solve fills it
     phase2_outcome: str | None = None
 
     @property
@@ -316,8 +314,11 @@ class Advisor:
     >>> for weights in weight_epochs:
     ...     advisor.recommend_prepared(prepared, weights=weights)
 
-    ``cost_model`` defaults to the Cassandra-style model; ``enumerator``
-    and ``optimizer`` may be swapped for the ablation studies.
+    ``cost_model`` defaults to the Cassandra-style model.  ``enumerator``
+    is a configured :class:`~repro.enumerator.CandidateEnumerator` and
+    ``optimizer`` a configured :class:`~repro.optimizer.BIPOptimizer`
+    (the ablation studies pass their own settings); both default to
+    the paper's configuration.
     """
 
     def __init__(self, model, cost_model=None, enumerator=None,
@@ -347,8 +348,7 @@ class Advisor:
         changes included) reuse the cached plan spaces and program and
         only re-cost and re-solve.  ``warm_start`` optionally passes a
         previous recommendation (or iterable of column families) as an
-        incumbent for optimizers that support it — see
-        :meth:`recommend_prepared`.
+        incumbent — see :meth:`recommend_prepared`.
         """
         with telemetry.current().span("recommend"):
             prepared = self.prepare(workload)
@@ -400,7 +400,8 @@ class Advisor:
 
         with active.span("enumeration"):
             started = time.perf_counter()
-            candidates = self._enumerate(workload)
+            candidates = self.enumerator.candidates(
+                workload, store=self.artifacts)
             enumeration_seconds = time.perf_counter() - started
 
         with active.span("planning"):
@@ -439,23 +440,6 @@ class Advisor:
             self._prepared.pop(next(iter(self._prepared)))
         self._prepared[key] = prepared
         return prepared
-
-    def _enumerate(self, workload):
-        """Run enumeration through the artifact store when supported.
-
-        The default :class:`~repro.enumerator.CandidateEnumerator`
-        serves per-statement candidate sets (with replayed provenance)
-        from the store; custom enumerators without the ``store``
-        keyword keep working uncached.
-        """
-        candidates = self.enumerator.candidates
-        try:
-            parameters = inspect.signature(candidates).parameters
-        except (TypeError, ValueError):  # C callables and odd stand-ins
-            parameters = {}
-        if "store" in parameters:
-            return candidates(workload, store=self.artifacts)
-        return candidates(workload)
 
     def _plan_queries(self, queries, planner, artifacts):
         """Per-query plan spaces: ``({query: space}, reused count)``.
@@ -614,8 +598,7 @@ class Advisor:
 
         ``warm_start`` optionally passes a previous
         :class:`SchemaRecommendation` (or any iterable of column
-        families / keys) to optimizers advertising
-        ``supports_warm_start``: the previous schema is evaluated as a
+        families / keys): the previous schema is evaluated as a
         feasible incumbent and its cost bounds the new solve.  The
         bound can change which of several *equal-cost* optima the
         solver returns, so warm starting is opt-in; leave it unset when
@@ -854,33 +837,11 @@ class Advisor:
 
     def _optimize_prepared(self, prepared, query_plans, update_plans,
                            weights, space_limit, timing, warm_start=None):
-        staged = (hasattr(self.optimizer, "prepare")
-                  and hasattr(self.optimizer, "optimize"))
-        warmable = getattr(self.optimizer, "supports_warm_start", False)
-        if warm_start is not None and not warmable:
-            warm_start = None
         active = telemetry.current()
         stage = time.perf_counter()
-        if not staged:
-            # e.g. BruteForceOptimizer: single solve() entry point
-            with active.span("bip_construction"):
-                problem = OptimizationProblem(query_plans, update_plans,
-                                              weights,
-                                              space_limit=space_limit)
-            timing.bip_construction = time.perf_counter() - stage
-            stage = time.perf_counter()
-            with active.span("bip_solving"):
-                if warm_start is not None:
-                    recommendation = self.optimizer.solve(
-                        problem, warm_start=warm_start)
-                else:
-                    recommendation = self.optimizer.solve(problem)
-            timing.bip_solving = time.perf_counter() - stage
-            return recommendation
         with active.span("bip_construction") as span:
             program = prepared._programs.get(space_limit)
-            if program is not None \
-                    and hasattr(self.optimizer, "reweight"):
+            if program is not None:
                 self.optimizer.reweight(program, weights)
                 active.count("bip.programs_reweighted")
                 if span is not None:
@@ -889,19 +850,7 @@ class Advisor:
                 problem = OptimizationProblem(query_plans, update_plans,
                                               weights,
                                               space_limit=space_limit)
-                # a program for another space limit shares this plan
-                # structure; optimizers advertising incremental prepare
-                # adopt its constraint rows instead of rebuilding
-                previous = None
-                if getattr(self.optimizer,
-                           "supports_incremental_prepare", False):
-                    for existing in prepared._programs.values():
-                        previous = existing
-                if previous is not None:
-                    program = self.optimizer.prepare(problem,
-                                                     previous=previous)
-                else:
-                    program = self.optimizer.prepare(problem)
+                program = self.optimizer.prepare(problem)
                 prepared._programs[space_limit] = program
                 active.count("bip.programs_built")
                 if span is not None:
@@ -909,19 +858,14 @@ class Advisor:
         timing.bip_construction = time.perf_counter() - stage
 
         stage = time.perf_counter()
-        if warm_start is not None:
-            recommendation = self.optimizer.optimize(
-                program, warm_start=warm_start)
-        else:
-            recommendation = self.optimizer.optimize(program)
+        recommendation = self.optimizer.optimize(program,
+                                                 warm_start=warm_start)
         solving = time.perf_counter() - stage
-        # the BIP program separates solver time from result extraction;
-        # fall back to the wall measurement for other optimizers
-        extract = getattr(program, "extract_seconds", 0.0)
-        timing.bip_solving = max(solving - extract, 0.0)
-        timing.recommendation = extract
-        timing.statement_classes = getattr(program, "statement_classes", 0)
-        timing.phase2_outcome = getattr(program, "phase2_outcome", None)
+        # the program separates solver time from result extraction
+        timing.bip_solving = max(solving - program.extract_seconds, 0.0)
+        timing.recommendation = program.extract_seconds
+        timing.statement_classes = program.statement_classes
+        timing.phase2_outcome = program.phase2_outcome
         return recommendation
 
     def _prune_update_plan(self, update_plan, ledger=None):

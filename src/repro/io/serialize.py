@@ -224,22 +224,17 @@ def dump_application(model, workload, path):
 # -- document version checks -----------------------------------------------
 
 
-def _check_format(document, supported, path, kind, required=False):
+def _check_format(document, supported, path, kind):
     """Reject documents whose declared version is not ``supported``.
 
     ``supported`` is the accepted format tag (e.g. "nose-explain/1").
-    A document with no ``format`` field is accepted unless ``required``
-    — explain/profile/run-report files predating the tag still load;
-    the monitor format has carried its tag from day one, so there it is
-    mandatory.
+    Every document kind carries its tag, so a document without a
+    ``format`` field is rejected too.
     """
     found = document.get("format")
     if found is None:
-        if required:
-            raise ValueError(
-                f"{path} is not a {kind} document: missing 'format' "
-                f"field (expected {supported!r})")
-        return document
+        raise ValueError(
+            f"{path}: missing 'format' field (expected {supported!r})")
     if found != supported:
         raise ValueError(
             f"{path} declares unsupported {kind} document version "
@@ -353,14 +348,13 @@ def dump_windows(document, path):
 
 
 def load_windows(path):
-    """Load a windows document from a JSON file (format required)."""
+    """Load a windows document from a JSON file."""
     with open(path) as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
         raise ParseError(f"{path} is not a windows document")
     from repro.windows.document import WINDOWS_FORMAT
-    return _check_format(document, WINDOWS_FORMAT, path, "windows",
-                         required=True)
+    return _check_format(document, WINDOWS_FORMAT, path, "windows")
 
 
 # -- monitor documents -----------------------------------------------------------
@@ -380,11 +374,10 @@ def dump_monitor(document, path):
 
 
 def load_monitor(path):
-    """Load a monitor document from a JSON file (format required)."""
+    """Load a monitor document from a JSON file."""
     with open(path) as handle:
         document = json.load(handle)
     if not isinstance(document, dict):
         raise ParseError(f"{path} is not a monitor document")
     from repro.monitor.document import MONITOR_FORMAT
-    return _check_format(document, MONITOR_FORMAT, path, "monitor",
-                         required=True)
+    return _check_format(document, MONITOR_FORMAT, path, "monitor")

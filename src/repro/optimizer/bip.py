@@ -40,31 +40,6 @@ from repro.optimizer.results import SchemaRecommendation
 _PHASE2_OUTCOMES = {0: "finished", 1: "time-limit"}
 
 
-def _same_plan_structure(previous, problem):
-    """True when two problems carry identical per-statement plan lists.
-
-    Identity (``is``) per plan object: the constraint structure built
-    from them is then guaranteed equal, which is what program adoption
-    relies on.  Statement labels must match too — the cost vector is
-    rebuilt through label-keyed weight lookups.
-    """
-
-    def matches(left, right):
-        if len(left) != len(right):
-            return False
-        for (stmt_a, plans_a), (stmt_b, plans_b) in zip(left.items(),
-                                                        right.items()):
-            if stmt_a.label != stmt_b.label \
-                    or len(plans_a) != len(plans_b):
-                return False
-            if any(a is not b for a, b in zip(plans_a, plans_b)):
-                return False
-        return True
-
-    return (matches(previous.query_plans, problem.query_plans)
-            and matches(previous.update_plans, problem.update_plans))
-
-
 class _Program:
     """A fully materialized BIP instance, ready to optimize.
 
@@ -82,8 +57,7 @@ class _Program:
     each materialized once and reused across solves.
     """
 
-    def __init__(self, *problems, indexes=None, migration=None,
-                 previous=None):
+    def __init__(self, *problems, indexes=None, migration=None):
         #: the single-schema path's problem (the first window's)
         self.problem = problems[0]
         self.problems = problems
@@ -120,11 +94,6 @@ class _Program:
         self._entries = []  # (row, column, value)
         self._lower = []
         self._upper = []
-        #: rows/entries belonging to the weight- and space-independent
-        #: constraint structure (everything but the space rows); lets a
-        #: later program over the same plan spaces adopt the structure
-        self._structure_rows = 0
-        self._structure_entries = 0
         #: lazily materialized solver inputs, reused across solves
         self._base_constraint = None
         self._entry_arrays = None
@@ -139,9 +108,7 @@ class _Program:
         #: advisor can attribute solving vs result extraction honestly
         self.solve_seconds = 0.0
         self.extract_seconds = 0.0
-        adopted = previous is not None and self._adopt(previous)
-        if not adopted:
-            self._build()
+        self._build()
         active = telemetry.current()
         if active.enabled and migration is None:
             active.gauge("bip.columns", self.columns)
@@ -149,8 +116,6 @@ class _Program:
             active.gauge("bip.rows", len(self._lower))
             active.gauge("bip.nonzeros", len(self._entries))
             active.gauge("bip.statement_classes", self.statement_classes)
-            if adopted:
-                active.count("bip.programs_adopted")
 
     # -- construction -----------------------------------------------------
 
@@ -165,48 +130,13 @@ class _Program:
         self.columns += 1
         return column
 
-    def _adopt(self, previous):
-        """Rebuild incrementally from a previous program.
-
-        The constraint structure (choose-one rows, support gates, plan
-        links) is a pure function of the plan spaces, so when the new
-        problem carries the *same plan objects per statement* — e.g.
-        the same prepared workload solved under a different space limit
-        or with new weights — the previous program's rows and columns
-        are adopted wholesale, only the space row and cost vector are
-        rebuilt, and construction work is skipped.  Returns False (and
-        leaves the program untouched) when the plan spaces differ, in
-        which case the caller falls back to a full build.
-        """
-        if not _same_plan_structure(previous.problem, self.problem):
-            return False
-        self.indexes = previous.indexes
-        self.index_column = previous.index_column
-        self.columns = previous.columns
-        self.query_classes = previous.query_classes
-        self.update_classes = previous.update_classes
-        self.gates = previous.gates
-        self._phase1_structure = previous._phase1_structure
-        self.statement_classes = previous.statement_classes
-        self._entries = previous._entries[:previous._structure_entries]
-        self._lower = previous._lower[:previous._structure_rows]
-        self._upper = previous._upper[:previous._structure_rows]
-        self._structure_rows = previous._structure_rows
-        self._structure_entries = previous._structure_entries
-        self._append_space_rows()
-        if self.problem.space_limit == previous.problem.space_limit:
-            # identical matrices: the materialized solver inputs
-            # (constraint matrix, entry arrays) carry over as well
-            self._base_constraint = previous._base_constraint
-            self._entry_arrays = previous._entry_arrays
-        self._integrality = previous._integrality
-        self._unit_bounds = previous._unit_bounds
-        self.costs = [0.0] * self.columns
-        self.reweight(self.problem.weights)
-        return True
-
-    def _append_space_rows(self):
-        """One storage row per window with a space limit."""
+    def _build(self):
+        """The migration rows, each window's block, then one storage
+        row per window with a space limit."""
+        if self.migration is not None:
+            self._build_migrations()
+        for window, problem in enumerate(self.problems):
+            self._build_window(problem, window * len(self.indexes))
         for window, problem in enumerate(self.problems):
             if problem.space_limit is None:
                 continue
@@ -214,16 +144,6 @@ class _Program:
             offset = window * len(self.indexes)
             for column, index in enumerate(self.indexes):
                 self._entries.append((space, offset + column, index.size))
-
-    def _build(self):
-        """The migration rows, then each window's block."""
-        if self.migration is not None:
-            self._build_migrations()
-        for window, problem in enumerate(self.problems):
-            self._build_window(problem, window * len(self.indexes))
-        self._structure_rows = len(self._lower)
-        self._structure_entries = len(self._entries)
-        self._append_space_rows()
 
     def _build_window(self, problem, offset):
         """One block of rows per signature class.
@@ -854,7 +774,7 @@ class _Program:
             extract_started = time.perf_counter()
             self.solve_seconds = extract_started - solve_started
         with active.span("recommendation"):
-            recommendation = self._extract(result, best_cost)
+            recommendation = self._extract(result)
         self.extract_seconds = time.perf_counter() - extract_started
         if active.enabled:
             active.observe("bip.solve_seconds", self.solve_seconds,
@@ -863,7 +783,7 @@ class _Program:
                            buckets=telemetry.TIME_BUCKETS)
         return recommendation
 
-    def _extract(self, result, total_cost):
+    def _extract(self, result):
         """The recommendation of a solution: its schema and, per
         statement and per support query, the cheapest plan on it.
 
@@ -874,7 +794,10 @@ class _Program:
         families, so the cheapest feasible one (ties broken by
         signature) costs no more than the solver's choice.  Chosen
         plans leave bound to their own statement (see
-        :meth:`~repro.planner.plans.QueryPlan.bind`).
+        :meth:`~repro.planner.plans.QueryPlan.bind`).  The reported
+        cost is the evaluated cost of the schema kept, not the solver's
+        objective: phase 2 may swap the schema for one up to its cost
+        tolerance dearer.
         """
         selected = result.x[:len(self.indexes)] > 0.5
         selected_keys = {self.indexes[column].key
@@ -884,19 +807,21 @@ class _Program:
         if evaluation is None:
             raise OptimizationError(
                 "BIP solution leaves a statement without a feasible plan")
-        _cost, query_plans, maintained = evaluation
         # selected column families no chosen plan reads are dropped:
         # without phase 2 the solver may hold cost-free ones, and no
-        # constraint binds a column family nothing uses
+        # constraint binds a column family nothing uses.  The chosen
+        # plans read only kept ones, so they stay the cheapest; only
+        # the dropped ones' maintenance leaves the cost.
+        _cost, query_plans, maintained = evaluation
         chosen_keys = used_keys(query_plans, maintained) & selected_keys
+        if chosen_keys != selected_keys:
+            evaluation = self.problem.evaluate(chosen_keys)
+        total_cost, query_plans, maintained = evaluation
         indexes = [index for index in self.indexes
                    if index.key in chosen_keys]
-        update_plans = {}
-        for update, plans in maintained.items():
-            kept = [update_plan.bind(update) for update_plan in plans
-                    if update_plan.index.key in chosen_keys]
-            if kept:
-                update_plans[update] = kept
+        update_plans = {update: [update_plan.bind(update)
+                                 for update_plan in plans]
+                        for update, plans in maintained.items()}
         weights = {label: weight
                    for label, weight in self.problem.weights.items()}
         recommendation = SchemaRecommendation(
@@ -953,11 +878,6 @@ class BIPOptimizer:
     """Facade exposing BIP construction and solving as separate stages,
     so the advisor can report the paper's Fig 13 runtime breakdown."""
 
-    #: a previous solution can seed the solve (incumbent-bound cut)
-    supports_warm_start = True
-    #: prepare() accepts a previous program for incremental rebuild
-    supports_incremental_prepare = True
-
     def __init__(self, minimize_schema_size=True, mip_rel_gap=1e-4,
                  time_limit=120.0, lp_gate_columns=2048,
                  lp_gate_gap=0.01):
@@ -972,15 +892,9 @@ class BIPOptimizer:
         #: accepted optimality gap versus the LP lower bound
         self.lp_gate_gap = lp_gate_gap
 
-    def prepare(self, problem, previous=None):
-        """Construct the program (the 'BIP construction' stage).
-
-        ``previous`` optionally passes an earlier program; when the new
-        problem spans the same plan spaces (e.g. the same prepared
-        workload under a different space limit), its constraint
-        structure is adopted instead of rebuilt.
-        """
-        return _Program(problem, previous=previous)
+    def prepare(self, problem):
+        """Construct the program (the 'BIP construction' stage)."""
+        return _Program(problem)
 
     def reweight(self, program, weights):
         """Re-cost a prepared program for new statement weights.

@@ -293,15 +293,10 @@ def recommend_windows(advisor, workload, schedule, initial=None,
 
     # -- naive baseline: re-advise each window, price migrations after
     started = time.perf_counter()
-    warmable = getattr(advisor.optimizer, "supports_warm_start", False)
     naive_keys = []
     previous = initial if initial else None
     for problem in problems:
-        if warmable and previous is not None:
-            window_rec = advisor.optimizer.solve(problem,
-                                                 warm_start=previous)
-        else:
-            window_rec = advisor.optimizer.solve(problem)
+        window_rec = advisor.optimizer.solve(problem, warm_start=previous)
         naive_keys.append({index.key for index in window_rec.indexes})
         previous = window_rec
     naive_windows, naive_serving, naive_migration = \

@@ -28,13 +28,14 @@ def test_load_explain_rejects_unknown_version(tmp_path):
     assert "nose-explain/1" in message
 
 
-def test_load_explain_accepts_current_and_legacy(tmp_path):
+def test_load_explain_accepts_current_and_rejects_untagged(tmp_path):
     current = _write(tmp_path / "current.json",
                      {"format": "nose-explain/1", "indexes": []})
     assert load_explain(current)["format"] == "nose-explain/1"
-    # documents written before the tag existed still load
-    legacy = _write(tmp_path / "legacy.json", {"indexes": []})
-    assert load_explain(legacy) == {"indexes": []}
+    untagged = _write(tmp_path / "untagged.json", {"indexes": []})
+    with pytest.raises(ValueError) as caught:
+        load_explain(untagged)
+    assert "nose-explain/1" in str(caught.value)
 
 
 def test_load_profile_rejects_unknown_version(tmp_path):
@@ -56,12 +57,20 @@ def test_load_run_report_rejects_unknown_version(tmp_path):
     assert "nose-run-report/1" in str(caught.value)
 
 
-def test_load_run_report_accepts_legacy_untagged(tmp_path):
-    path = _write(tmp_path / "legacy.json",
+def test_load_run_report_requires_format(tmp_path):
+    path = _write(tmp_path / "untagged.json",
                   {"meta": {"enabled": True}, "spans": [],
                    "metrics": {}})
-    report = load_run_report(path)
-    assert report.meta["enabled"] is True
+    with pytest.raises(ValueError) as caught:
+        load_run_report(path)
+    assert "nose-run-report/1" in str(caught.value)
+
+
+def test_load_profile_requires_format(tmp_path):
+    path = _write(tmp_path / "untagged.json", {"statements": {}})
+    with pytest.raises(ValueError) as caught:
+        load_profile(path)
+    assert "nose-profile/1" in str(caught.value)
 
 
 def test_load_monitor_requires_format(tmp_path):

@@ -247,15 +247,20 @@ def test_phase2_budget_proportional_to_phase1(hotel, pool, statements):
 def test_phase2_finishes_and_shrinks_a_randgen_schema():
     """Phase 2 searches phase 1's selection plus the cost-free column
     families: on this workload it finishes and drops column families
-    phase 1 used, at the same reported cost."""
+    phase 1 used, at a cost within phase 2's cap (phase 1's cost plus
+    its MIP-gap tolerance)."""
     model = random_model(entities=6, seed=0)
     workload = random_workload(model, 12, 4, 2, seed=0)
     phase1 = Advisor(model, optimizer=BIPOptimizer(
         minimize_schema_size=False)).recommend(workload)
-    smallest = Advisor(model).recommend(workload)
+    advisor = Advisor(model)
+    smallest = advisor.recommend(workload)
     assert smallest.timing.phase2_outcome == "finished"
     assert len(smallest.indexes) < len(phase1.indexes)
-    assert smallest.total_cost == phase1.total_cost
+    cost = phase1.total_cost
+    tolerance = (advisor.optimizer.mip_rel_gap * abs(cost)
+                 + 1e-7 * (1.0 + abs(cost)))
+    assert smallest.total_cost <= cost + tolerance
 
 
 def test_default_advisor_reaches_the_full_space_optimum():

@@ -121,9 +121,9 @@ def test_extracted_plans_cost_no_more_than_the_solvers(hotel, hotel_twins,
     solutions = []
     extract = bip._Program._extract
 
-    def capture(self, result, total_cost):
+    def capture(self, result):
         solutions.append((self, result.x.copy()))
-        return extract(self, result, total_cost)
+        return extract(self, result)
 
     monkeypatch.setattr(bip._Program, "_extract", capture)
     recommendation = Advisor(hotel).recommend(twins)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import Advisor, dominance
+from repro import Advisor, dominance, telemetry
 from repro.advisor import prune_plan_space
 from repro.cost import SimpleCostModel
 from repro.exceptions import PlanningError
+from repro.optimizer import OptimizationProblem
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +124,66 @@ def test_recommendation_describe_round_trip(read_recommendation):
     text = recommendation.describe()
     assert "column families" in text
     assert "Plan for" in text
+
+
+def _keys(recommendation):
+    return {index.key for index in recommendation.indexes}
+
+
+def test_space_limits_reuse_one_program_each(hotel_full):
+    """One prepared workload solved under a sequence of space limits
+    matches a fresh advisor at every limit; each limit builds its
+    program once, and returning to a limit reuses it."""
+    size = Advisor(hotel_full.model).recommend(hotel_full).size
+    limits = (None, 0.9 * size, 0.75 * size, None)
+    fresh = [Advisor(hotel_full.model).recommend(hotel_full,
+                                                 space_limit=limit)
+             for limit in limits]
+    advisor = Advisor(hotel_full.model)
+    with telemetry.activate() as sink:
+        if not sink.enabled:
+            pytest.skip("telemetry disabled by NOSE_TELEMETRY=0")
+        prepared = advisor.prepare(hotel_full)
+        for limit, expected in zip(limits, fresh):
+            solved = advisor.recommend_prepared(prepared,
+                                                space_limit=limit)
+            assert solved.total_cost == expected.total_cost, limit
+            assert _keys(solved) == _keys(expected), limit
+    assert set(prepared._programs) == set(limits)
+    counters = sink.metrics.counters
+    assert counters["bip.programs_built"] == 3
+    assert counters["bip.programs_reweighted"] == 1
+
+
+@pytest.mark.parametrize("demo", ["hotel", "bidding", "browsing",
+                                  "randgen-phase1"])
+def test_total_cost_is_the_kept_schemas_evaluated_cost(demo):
+    """The reported cost is the evaluated cost of the schema kept, not
+    phase 1's objective, which phase 2 may swap for a dearer tie.
+    Without phase 2 the solver holds column families no plan reads,
+    and extraction drops them."""
+    optimizer = None
+    if demo == "hotel":
+        from repro.demo import hotel_model, hotel_workload
+        model = hotel_model()
+        workload = hotel_workload(model, include_updates=True)
+    elif demo == "randgen-phase1":
+        from repro.optimizer import BIPOptimizer
+        from repro.randgen import random_model, random_workload
+        model = random_model(entities=6, seed=0)
+        workload = random_workload(model, 12, 4, 2, seed=0)
+        optimizer = BIPOptimizer(minimize_schema_size=False)
+    else:
+        from repro.rubis import rubis_model, rubis_workload
+        model = rubis_model()
+        workload = rubis_workload(model, mix=demo)
+    advisor = Advisor(model, optimizer=optimizer)
+    recommendation = advisor.recommend(workload)
+    query_plans, update_plans = advisor.pruned_plans(
+        advisor.prepare(workload))
+    weights = {statement.label: weight
+               for statement, weight in workload.weighted_statements}
+    problem = OptimizationProblem(query_plans, update_plans, weights)
+    cost, _query_plans, _update_plans = problem.evaluate(
+        _keys(recommendation))
+    assert recommendation.total_cost == cost

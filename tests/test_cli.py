@@ -147,11 +147,11 @@ def _write_documents(tmp_path):
     base = tmp_path / "base.json"
     other = tmp_path / "other.json"
     base.write_text(json.dumps(
-        {"total_cost": 10.0, "indexes": [{"key": "ia", "triple": ""}],
-         "statements": {}}))
+        {"format": "nose-explain/1", "total_cost": 10.0,
+         "indexes": [{"key": "ia", "triple": ""}], "statements": {}}))
     other.write_text(json.dumps(
-        {"total_cost": 12.0, "indexes": [{"key": "ib", "triple": ""}],
-         "statements": {}}))
+        {"format": "nose-explain/1", "total_cost": 12.0,
+         "indexes": [{"key": "ib", "triple": ""}], "statements": {}}))
     return base, other
 
 
